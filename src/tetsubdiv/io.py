@@ -187,41 +187,58 @@ def write_json(
     return _deliver(destination, data)
 
 
+def _strict_int(value: Any, section: str, pos: int, key: str) -> int:
+    """``value`` if it is a JSON integer; bools, floats and strings are refused.
+
+    The error names the position as ``section[pos].key``.
+    """
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"{section}[{pos}].{key} must be an integer, got {value!r:.40}")
+    return value
+
+
 def read_json(source: Source) -> tuple[SubdivisionMesh, list[FieldData]]:
     """Parse a mesh document written by :func:`write_json`.
 
     Raises ``ValueError`` (with position information for malformed JSON)
-    on any structural problem.
+    on any structural problem.  Integer fields must be JSON integers and
+    the order must be >= 1; the error names the offending position.
     """
     doc = json.loads(_read_text(source))
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
     version = doc.get("format_version")
-    if version != JSON_FORMAT_VERSION:
+    if isinstance(version, bool) or version != JSON_FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     try:
-        order = int(doc["order"])
+        order = doc["order"]
         policy = doc["orientation_policy"]
         raw_nodes = doc["nodes"]
         raw_tets = doc["tets"]
     except KeyError as exc:
         raise ValueError(f"mesh document missing key {exc.args[0]!r}") from exc
+    if type(order) is not int or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r:.40}")
+    for key, value in (("nodes", raw_nodes), ("tets", raw_tets)):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a JSON array, got {value!r:.40}")
     if policy not in ORIENTATION_POLICIES:
         raise ValueError(f"unknown orientation policy {policy!r}")
     nodes = []
     coords = []
     for pos, n in enumerate(raw_nodes):
         try:
-            nodes.append(NodeIndex(int(n["i"]), int(n["j"]), int(n["k"])))
-            coords.append((int(n["x"]), int(n["y"]), int(n["z"])))
+            i, j, k, x, y, z = (_strict_int(n[key], "nodes", pos, key) for key in "ijkxyz")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad node entry at nodes[{pos}]") from exc
+        nodes.append(NodeIndex(i, j, k))
+        coords.append((x, y, z))
     tets = []
     for pos, t in enumerate(raw_tets):
         try:
-            ids = tuple(int(v) for v in t["nodes"])
+            ids = tuple(_strict_int(v, "tets", pos, "nodes") for v in t["nodes"])
             kind = t["kind"]
-            level = int(t["level"])
+            level = _strict_int(t["level"], "tets", pos, "level")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad tet entry at tets[{pos}]") from exc
         if len(ids) != 4:
@@ -231,7 +248,9 @@ def read_json(source: Source) -> tuple[SubdivisionMesh, list[FieldData]]:
         if any(not 0 <= v < len(nodes) for v in ids):
             raise ValueError(f"tets[{pos}] references a node id out of range")
         slot = t.get("fill_slot")
-        tets.append(SubTet(ids, kind, level, None if slot is None else int(slot)))
+        if slot is not None:
+            slot = _strict_int(slot, "tets", pos, "fill_slot")
+        tets.append(SubTet(ids, kind, level, slot))
     mesh = SubdivisionMesh(order, tuple(nodes), tuple(coords), tuple(tets), policy)
     fields = [
         FieldData(f["name"], tuple(float(v) for v in f["values"]))

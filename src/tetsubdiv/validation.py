@@ -19,6 +19,13 @@ tolerances anywhere.  ``validate`` bundles the individual checks into a
   V - E + F = 2.
 * ``containment-sampling``: seeded random rational points in the open
   element, each required to lie strictly inside exactly one sub-tet.
+  Containment stays exact: each tet's four side tests are integer planes
+  n.p + k, built once per tet, whose signs are those of the scaled
+  determinants; there are no tolerances.  The seeded stream depends only
+  on ``getrandbits``: coordinates are drawn with CPython's ``randrange``
+  algorithm and triples outside the element are discarded.  Sampling the
+  simplex directly would discard none, but it would change which points a
+  seed draws, so seeded reports would change; it is not done.
 * ``pairwise-disjoint``: exhaustive exact tet/tet interior-intersection
   test (separating-plane search); O(N^6) pairs, so gated by an order
   limit.
@@ -30,13 +37,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .connectivity import POSITIVE, SubTet, SubdivisionMesh
 from .lattice import (
     Coords,
     enumerate_nodes,
-    linear_to_node,
     node_coords,
     node_count,
     tet_volume6,
@@ -54,6 +60,8 @@ INTERIOR = "interior"
 
 # scale for rational sample points; prime so lattice planes are hard to hit
 _SAMPLE_DENOMINATOR = 1_000_003
+# triples drawn for one sample point, inside the element or not, before giving up
+_MAX_ATTEMPTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -129,20 +137,21 @@ def boundary_faces(incidence: FaceIncidence) -> list[FaceKey]:
     return sorted(k for k, v in incidence.items() if len(v) == 1)
 
 
-def classify_boundary_face(face: FaceKey, order: int) -> str:
+def classify_boundary_face(face: FaceKey, mesh: SubdivisionMesh) -> str:
     """Tag of the element plane containing all 3 face nodes, or ``"interior"``.
 
-    Planes in lattice coordinates: x=0 (column j = 0), y=0 (row k = 0),
-    z=0 (base level i = N) and the slanted face x+y+z = N (j+k = i).
+    Positions come from ``mesh.coords``.  Planes in lattice coordinates:
+    x=0 (column j = 0), y=0 (row k = 0), z=0 (base level i = N) and the
+    slanted face x+y+z = N (j+k = i).
     """
-    pts = [node_coords(linear_to_node(n, order), order) for n in face]
+    pts = [mesh.coords[v] for v in face]
     if all(p[0] == 0 for p in pts):
         return "x=0"
     if all(p[1] == 0 for p in pts):
         return "y=0"
     if all(p[2] == 0 for p in pts):
         return "z=0"
-    if all(sum(p) == order for p in pts):
+    if all(sum(p) == mesh.order for p in pts):
         return "x+y+z=N"
     return INTERIOR
 
@@ -182,7 +191,7 @@ def check_face_pairing(
     incidence = incidence if incidence is not None else build_face_incidence(mesh)
     overshared = sorted((k, len(v)) for k, v in incidence.items() if len(v) > 2)
     boundary = boundary_faces(incidence)
-    stray = [f for f in boundary if classify_boundary_face(f, mesh.order) == INTERIOR]
+    stray = [f for f in boundary if classify_boundary_face(f, mesh) == INTERIOR]
     expected = 4 * mesh.order**2
     passed = not overshared and not stray and len(boundary) == expected
     return CheckResult(
@@ -236,14 +245,12 @@ def check_boundary_congruence(
     plane_vertices: dict[str, set[tuple[int, int]]] = {p: set() for p in BOUNDARY_PLANES}
     violations: list[dict[str, Any]] = []
     for face in boundary_faces(incidence):
-        plane = classify_boundary_face(face, n)
+        plane = classify_boundary_face(face, mesh)
         if plane == INTERIOR:
             violations.append({"face": face, "problem": "boundary face on no element plane"})
             continue
         project = _PLANE_PROJECTIONS[plane]
-        tri = sorted(
-            project(node_coords(linear_to_node(v, n), n)) for v in face
-        )
+        tri = sorted(project(mesh.coords[v]) for v in face)
         kind = _unit_triangle_kind(tri)
         if kind is None:
             violations.append({"face": face, "plane": plane, "problem": "not a unit lattice triangle"})
@@ -348,44 +355,85 @@ def check_euler_characteristic(
     )
 
 
-def _strict_side_counts(
-    pts: tuple[Coords, Coords, Coords, Coords], p: Coords
-) -> bool | None:
-    """True if p is strictly inside the tet, False if outside, None if on its boundary."""
-    a, b, c, d = pts
-    d0 = tet_volume6(p, b, c, d)
-    d1 = tet_volume6(a, p, c, d)
-    d2 = tet_volume6(a, b, p, d)
-    d3 = tet_volume6(a, b, c, p)
-    sign = 0
-    for v in (d0, d1, d2, d3):
-        if v == 0:
-            return None
-        s = 1 if v > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
+SidePlanes = tuple[int, ...]
+
+
+def _side_planes(pts: Sequence[Coords], scale: int) -> SidePlanes:
+    """The four side tests of a tet as 16 integers, (nx, ny, nz, k) per side.
+
+    Side i is ``tet_volume6`` with vertex i replaced by a point p.  That is
+    affine in p: for the tet scaled by ``scale`` = D it equals exactly
+    D^2 (n_i . p + k_i), where n_i is the lattice-unit normal and k_i is D
+    times a lattice-unit offset.  So n_i . p + k_i has the determinant's
+    sign and is zero exactly when the determinant is.
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = pts
+    ex, ey, ez = bx - ax, by - ay, bz - az
+    fx, fy, fz = cx - ax, cy - ay, cz - az
+    gx, gy, gz = dx - ax, dy - ay, dz - az
+    # normals of sides 1-3: (c - a) x (d - a), (d - a) x (b - a), (b - a) x (c - a)
+    px, py, pz = fy * gz - fz * gy, fz * gx - fx * gz, fx * gy - fy * gx
+    qx, qy, qz = gy * ez - gz * ey, gz * ex - gx * ez, gx * ey - gy * ex
+    rx, ry, rz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+    # the four sides sum to the tet's volume for every p, so their normals cancel
+    ox, oy, oz = -(px + qx + rx), -(py + qy + ry), -(pz + qz + rz)
+    return (
+        ox, oy, oz, -scale * (ox * bx + oy * by + oz * bz),
+        px, py, pz, -scale * (px * ax + py * ay + pz * az),
+        qx, qy, qz, -scale * (qx * ax + qy * ay + qz * az),
+        rx, ry, rz, -scale * (rx * ax + ry * ay + rz * az),
+    )
 
 
 def _bucket_tets(
     mesh: SubdivisionMesh, scale: int
-) -> dict[tuple[int, int, int], list[tuple[int, tuple[Coords, ...]]]]:
+) -> dict[tuple[int, int, int], list[SidePlanes]]:
     # Tets are registered in every unit cell their bounding box touches, so
     # the lookup stays exhaustive even for corrupted meshes that break the
     # one-cell locality of honest output.
-    buckets: dict[tuple[int, int, int], list[tuple[int, tuple[Coords, ...]]]] = {}
-    for t, tet in enumerate(mesh.tets):
-        pts = tuple(mesh.coords[v] for v in tet.nodes)
-        scaled = tuple((x * scale, y * scale, z * scale) for x, y, z in pts)
-        los = [min(p[ax] for p in pts) for ax in range(3)]
-        his = [max(p[ax] for p in pts) for ax in range(3)]
-        for cx in range(los[0], max(his[0], los[0] + 1)):
-            for cy in range(los[1], max(his[1], los[1] + 1)):
-                for cz in range(los[2], max(his[2], los[2] + 1)):
-                    buckets.setdefault((cx, cy, cz), []).append((t, scaled))
+    buckets: dict[tuple[int, int, int], list[SidePlanes]] = {}
+    coords = mesh.coords
+    for tet in mesh.tets:
+        pts = [coords[v] for v in tet.nodes]
+        planes = _side_planes(pts, scale)
+        xs, ys, zs = zip(*pts)
+        lx, ly, lz = min(xs), min(ys), min(zs)
+        for cx in range(lx, max(max(xs), lx + 1)):
+            for cy in range(ly, max(max(ys), ly + 1)):
+                for cz in range(lz, max(max(zs), lz + 1)):
+                    buckets.setdefault((cx, cy, cz), []).append(planes)
     return buckets
+
+
+def _element_points(
+    rng: random.Random, nd: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Endless points (u, v, w, tries) with u, v, w >= 1 and u + v + w < nd.
+
+    Each coordinate is the value ``rng.randrange(1, nd)`` would return,
+    drawn with CPython's own ``randrange`` algorithm: ``getrandbits`` of the
+    bit length of nd - 1, rejecting values >= nd - 1, plus 1.  The stream
+    therefore depends only on ``getrandbits``.  Triples outside the element
+    are skipped; ``tries`` counts the triples drawn for this point.
+    """
+    getrandbits = rng.getrandbits
+    width = nd - 1
+    bits = width.bit_length()
+    tries = 0
+    while True:
+        u = getrandbits(bits)
+        while u >= width:
+            u = getrandbits(bits)
+        v = getrandbits(bits)
+        while v >= width:
+            v = getrandbits(bits)
+        w = getrandbits(bits)
+        while w >= width:
+            w = getrandbits(bits)
+        tries += 1
+        if u + v + w + 3 < nd:
+            yield u + 1, v + 1, w + 1, tries
+            tries = 0
 
 
 def check_containment_sampling(
@@ -396,42 +444,62 @@ def check_containment_sampling(
     Points are rationals u/D with a fixed prime denominator D, drawn
     uniformly in the open element and redrawn whenever they touch a
     lattice plane or any candidate tet's boundary, so every containment
-    test is exact and unambiguous.
+    test is exact and unambiguous.  A point is inside a tet when its four
+    side planes (see :func:`_side_planes`) all have the same nonzero sign;
+    sides are tested in vertex order and the first zero (redraw) or sign
+    mismatch (outside) decides.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n = mesh.order
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
     d = _SAMPLE_DENOMINATOR
     nd = n * d
     buckets = _bucket_tets(mesh, d)
-    rng = random.Random(seed)
+    points = _element_points(random.Random(seed), nd)
     gaps: list[str] = []
     overlaps: list[str] = []
     redraws = 0
     for _ in range(samples):
-        for _attempt in range(10_000):
-            u, v, w = (rng.randrange(1, nd) for _ in range(3))
-            if u + v + w >= nd:
-                continue
-            if any(t % d == 0 for t in (u, v, w, u + v, u + w, v + w, u + v + w)):
+        attempts = 0
+        while True:
+            u, v, w, tries = next(points)
+            attempts += tries
+            if attempts > _MAX_ATTEMPTS:
+                raise RuntimeError("containment sampling failed to draw a usable point")
+            if not (
+                u % d and v % d and w % d
+                and (u + v) % d and (u + w) % d and (v + w) % d and (u + v + w) % d
+            ):
                 redraws += 1
                 continue
-            point = (u, v, w)
             hits = 0
-            on_boundary = False
-            for _t, scaled in buckets.get((u // d, v // d, w // d), ()):
-                side = _strict_side_counts(scaled, point)
-                if side is None:
-                    on_boundary = True
+            for (
+                x0, y0, z0, k0, x1, y1, z1, k1, x2, y2, z2, k2, x3, y3, z3, k3
+            ) in buckets.get((u // d, v // d, w // d), ()):
+                s = x0 * u + y0 * v + z0 * w + k0
+                if not s:
                     break
-                if side:
+                inside = s > 0
+                s = x1 * u + y1 * v + z1 * w + k1
+                if not s:
+                    break
+                if (s > 0) is not inside:
+                    continue
+                s = x2 * u + y2 * v + z2 * w + k2
+                if not s:
+                    break
+                if (s > 0) is not inside:
+                    continue
+                s = x3 * u + y3 * v + z3 * w + k3
+                if not s:
+                    break
+                if (s > 0) is inside:
                     hits += 1
-            if on_boundary:
-                redraws += 1
-                continue
-            break
-        else:  # pragma: no cover - 10k consecutive redraws is unreachable
-            raise RuntimeError("containment sampling failed to draw a usable point")
+            else:
+                break
+            redraws += 1  # the point lies on a candidate tet's boundary
         label = f"({u}/{d}, {v}/{d}, {w}/{d})"
         if hits == 0:
             gaps.append(label)

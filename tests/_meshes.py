@@ -26,3 +26,13 @@ def without_chunks(order):
         for t in upright_tets(i) + fill_tets(i)
     )
     return SubdivisionMesh(order, nodes, coords, tets, AS_GENERATED)
+
+
+def with_moved_node(mesh, node, axis, delta):
+    """Same tets, one node's coordinate shifted by ``delta`` along ``axis``."""
+    moved = list(mesh.coords[node])
+    moved[axis] += delta
+    coords = mesh.coords[:node] + (tuple(moved),) + mesh.coords[node + 1 :]
+    return SubdivisionMesh(
+        mesh.order, mesh.nodes, coords, mesh.tets, mesh.orientation_policy
+    )

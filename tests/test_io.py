@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -163,6 +164,12 @@ def test_read_json_structural_errors():
 
     with pytest.raises(ValueError, match="format_version"):
         read_json(broken(format_version=99))
+    with pytest.raises(ValueError, match="format_version"):
+        read_json(broken(format_version=True))
+    with pytest.raises(ValueError, match="nodes must be a JSON array"):
+        read_json(broken(nodes=5))
+    with pytest.raises(ValueError, match="tets must be a JSON array"):
+        read_json(broken(tets=None))
     with pytest.raises(ValueError, match="orientation policy"):
         read_json(broken(orientation_policy="widdershins"))
     with pytest.raises(ValueError, match="missing key"):
@@ -187,6 +194,37 @@ def test_read_json_structural_errors():
         bad_nodes = [dict(n) for n in doc["nodes"]]
         del bad_nodes[0]["x"]
         read_json(broken(nodes=bad_nodes))
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ("order", 0),
+        ("order", -3),
+        ("order", True),
+        ("order", 2.0),
+        ("nodes[3].j", 0.7),
+        ("nodes[3].i", True),
+        ("nodes[3].x", 1.0),
+        ("nodes[3].z", "2"),
+        ("tets[2].nodes", 0.7),
+        ("tets[2].nodes", True),
+        ("tets[2].level", 1.5),
+        ("tets[2].fill_slot", False),
+    ],
+)
+def test_read_json_rejects_non_integer_fields(where, value):
+    doc = json.loads(write_json(generate(2)).decode())
+    if where == "order":
+        doc["order"] = value
+    elif where.startswith("nodes"):
+        doc["nodes"][3][where.rsplit(".", 1)[1]] = value
+    elif where == "tets[2].nodes":
+        doc["tets"][2]["nodes"][1] = value
+    else:
+        doc["tets"][2][where.rsplit(".", 1)[1]] = value
+    with pytest.raises(ValueError, match=re.escape(where)):
+        read_json(io.StringIO(json.dumps(doc)))
 
 
 def test_off_order_2_counts_and_shape():

@@ -1,15 +1,18 @@
 """Exact validation checks: pass on honest meshes, fail on corrupted ones."""
 
 import json
+import random
 
 import pytest
 
-from _meshes import replace_tets, without_chunks
+from _meshes import replace_tets, with_moved_node, without_chunks
 from tetsubdiv.connectivity import AS_GENERATED, SubTet, SubdivisionMesh, generate
-from tetsubdiv.lattice import enumerate_nodes, node_coords
+from tetsubdiv.lattice import enumerate_nodes, node_coords, tet_volume6
 from tetsubdiv.validation import (
+    _SAMPLE_DENOMINATOR,
     BOUNDARY_PLANES,
     INTERIOR,
+    _side_planes,
     boundary_faces,
     build_face_incidence,
     check_boundary_congruence,
@@ -54,19 +57,21 @@ def test_signed_volume_accepts_tet_or_ids():
 
 
 def test_classify_boundary_face():
-    assert classify_boundary_face((1, 4, 7), 2) == "x=0"
-    assert classify_boundary_face((1, 4, 5), 2) == "y=0"
-    assert classify_boundary_face((4, 5, 7), 2) == "z=0"
-    assert classify_boundary_face((2, 6, 8), 2) == "x+y+z=N"
-    assert classify_boundary_face((1, 2, 3), 2) == INTERIOR
+    mesh = generate(2)
+    assert classify_boundary_face((1, 4, 7), mesh) == "x=0"
+    assert classify_boundary_face((1, 4, 5), mesh) == "y=0"
+    assert classify_boundary_face((4, 5, 7), mesh) == "z=0"
+    assert classify_boundary_face((2, 6, 8), mesh) == "x+y+z=N"
+    assert classify_boundary_face((1, 2, 3), mesh) == INTERIOR
 
 
 def test_known_interior_face_incidences():
-    incidence = build_face_incidence(generate(2))
+    mesh = generate(2)
+    incidence = build_face_incidence(mesh)
     assert len(incidence[(1, 5, 7)]) == 2
     assert len(incidence[(1, 5, 8)]) == 2
-    assert classify_boundary_face((1, 5, 7), 2) == INTERIOR
-    assert classify_boundary_face((1, 5, 8), 2) == INTERIOR
+    assert classify_boundary_face((1, 5, 7), mesh) == INTERIOR
+    assert classify_boundary_face((1, 5, 8), mesh) == INTERIOR
 
 
 def test_boundary_face_count_and_planes():
@@ -77,7 +82,7 @@ def test_boundary_face_count_and_planes():
         assert len(faces) == 4 * n * n
         by_plane = {p: 0 for p in BOUNDARY_PLANES}
         for f in faces:
-            by_plane[classify_boundary_face(f, n)] += 1
+            by_plane[classify_boundary_face(f, mesh)] += 1
         assert by_plane == {p: n * n for p in BOUNDARY_PLANES}
 
 
@@ -125,6 +130,15 @@ def test_face_pairing_detects_duplicated_tet():
     result = check_face_pairing(bad)
     assert not result.passed
     assert result.details["overshared_faces"]
+
+
+def test_boundary_checks_read_mesh_coords():
+    # node 7 of order 2 moves from (0, 1, 0) onto the corner (0, 2, 0); its
+    # id still names the old position, which the checks must not use
+    moved = with_moved_node(generate(2), 7, 1, 1)
+    result = check_boundary_congruence(moved)
+    assert not result.passed
+    assert {v["plane"] for v in result.details["violations"]} == {"x=0", "z=0"}
 
 
 def test_congruence_detects_deleted_corner_tet():
@@ -195,6 +209,27 @@ def test_containment_detects_overlap():
 def test_containment_rejects_bad_sample_count():
     with pytest.raises(ValueError):
         check_containment_sampling(generate(1), samples=0)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_containment_rejects_order_below_one(order):
+    mesh = SubdivisionMesh(order, (), (), (), AS_GENERATED)
+    with pytest.raises(ValueError, match="order"):
+        check_containment_sampling(mesh, samples=1)
+
+
+def test_side_planes_match_the_scaled_determinants():
+    rng = random.Random(3)
+    d = _SAMPLE_DENOMINATOR
+    for _ in range(200):
+        pts = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(4)]
+        p = tuple(rng.randint(-4 * d, 4 * d) for _ in range(3))
+        planes = _side_planes(pts, d)
+        scaled = [tuple(d * c for c in q) for q in pts]
+        for side in range(4):
+            nx, ny, nz, k = planes[4 * side : 4 * side + 4]
+            replaced = scaled[:side] + [p] + scaled[side + 1 :]
+            assert d * d * (nx * p[0] + ny * p[1] + nz * p[2] + k) == tet_volume6(*replaced)
 
 
 def test_pairwise_disjoint_good_meshes():
