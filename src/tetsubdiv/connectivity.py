@@ -1,33 +1,37 @@
 """Connectivity of the N^3 sub-tetrahedra covering an order-N element.
 
-Three constructions, applied level by level, build the cover:
+The cover is Freudenthal's edgewise subdivision of the element
+(Freudenthal 1942; Kuhn 1960; Edelsbrunner & Grayson 2000, "Edgewise
+subdivision of a simplex"; Bey 2000).  In the coordinates
+(a, b, c) = (i, i - j, k) the node lattice is N >= a >= b >= c >= 0 and
+every sub-tet is a Kuhn simplex of a unit lattice cube: a monotone path
+that steps once along each axis.  The six step orders give six classes of
+tets, and all tets of one class are translates of each other.  Each class
+is one row of ``_CLASSES``: the offsets (di, dj, dk) of its four vertices
+from an anchor node (i - 1, j, k), in the construction's vertex order.
 
 * ``upright``: i(i+1)/2 tets per level, each joining a level-(i-1) node to
   the three nodes directly below it.
 * ``fill``: 2i(i-1) tets per level, four per octahedral hole left between
-  the upright tets.  Each hole is split by a new interior diagonal edge
-  from node (i-1, j-1, k) to node (i, j, k+1); the four tets around that
-  diagonal are numbered by ``fill_slot`` 0..3.
+  the upright tets.  Each hole is split by the diagonal edge from the
+  anchor (i-1, j, k) to node (i, j+1, k+1); the four tets around that
+  diagonal are the classes ``fill_slot`` 0..3.
 * ``chunk``: (i-1)(i-2)/2 additional interior tets, present from level 3
   up, closing the gap the first two constructions leave deeper inside.
 
 Per level this totals 3i^2 - 3i + 1 = i^3 - (i-1)^3 tets, so levels 1..N
 sum to exactly N^3.  Every tet has |signed volume| = 1/6 in lattice units
-and all of its edges stay within one unit cell of the lattice.
+and all of its edges stay within one unit cell of the lattice.  Since a
+class is a set of translates, its orientation is one sign: in the
+construction order upright, fill 1, fill 3 and chunk have signed volume
+-1/6, fill 0 and fill 2 have +1/6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import (
-    Coords,
-    NodeIndex,
-    enumerate_nodes,
-    node_coords,
-    node_id,
-    tet_volume6,
-)
+from .lattice import Coords, NodeIndex, enumerate_nodes, tet_volume6
 
 UPRIGHT = "upright"
 FILL = "fill"
@@ -65,99 +69,75 @@ class SubdivisionMesh:
     orientation_policy: str = POSITIVE
 
 
-def _check_level(level: int) -> None:
+# (kind, fill_slot, offsets (di, dj, dk) of the four vertices from the
+# anchor (i - 1, j, k)), in construction order
+_CLASSES = (
+    (UPRIGHT, None, ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1))),
+    (FILL, 0, ((0, 0, 0), (1, 1, 1), (0, 1, 0), (1, 1, 0))),
+    (FILL, 1, ((0, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1))),
+    (FILL, 2, ((0, 0, 0), (1, 1, 1), (1, 0, 1), (0, 0, 1))),
+    (FILL, 3, ((0, 0, 0), (1, 1, 1), (1, 0, 1), (1, 1, 0))),
+    (CHUNK, None, ((0, 1, 0), (0, 1, 1), (0, 0, 1), (1, 1, 1))),
+)
+
+_TABLES = {
+    AS_GENERATED: _CLASSES,
+    # one sign per class, taken in lattice coordinates (j, k, -i) relative to
+    # the anchor; swapping the last two vertices flips it
+    POSITIVE: tuple(
+        (kind, slot, (a, b, d, c))
+        if tet_volume6(*((dj, dk, -di) for di, dj, dk in (a, b, c, d))) < 0
+        else (kind, slot, (a, b, c, d))
+        for kind, slot, (a, b, c, d) in _CLASSES
+    ),
+}
+
+
+def _tets(level: int, kinds: tuple[str, ...], policy: str = AS_GENERATED) -> list[SubTet]:
+    """Tets of ``kinds`` at ``level``: kind by kind, then anchor row k, column j, class."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-
-
-def upright_tets(level: int) -> list[SubTet]:
-    """Upright tets of one level.
-
-    For k in [0, i), j in [0, i-k): the tet joining node (i-1, j, k) to
-    (i, j, k), (i, j+1, k) and (i, j, k+1).  Count: i(i+1)/2.
-    """
-    _check_level(level)
     i = level
-    return [
-        SubTet(
-            (
-                node_id(i - 1, j, k),
-                node_id(i, j, k),
-                node_id(i, j + 1, k),
-                node_id(i, j, k + 1),
-            ),
-            UPRIGHT,
-            i,
-        )
-        for k in range(i)
-        for j in range(i - k)
+    # node (i - 1 + di, j, k) has id base[di][k] + j
+    base = [
+        [lv * (lv + 1) * (lv + 2) // 6 + k * (lv + 1) - k * (k - 1) // 2 for k in range(i + 1)]
+        for lv in (i - 1, i)
     ]
-
-
-def fill_tets(level: int) -> list[SubTet]:
-    """Hole-filling tets of one level; empty below level 2.
-
-    For k in [0, i-2], j in [1, i-k-1], the octahedral hole is split by
-    the diagonal (a, b) = ((i-1, j-1, k), (i, j, k+1)) into four tets
-    (``fill_slot`` 0..3).  Count: 2i(i-1).
-    """
-    _check_level(level)
-    i = level
     out: list[SubTet] = []
-    for k in range(i - 1):
-        for j in range(1, i - k):
-            a = node_id(i - 1, j - 1, k)
-            b = node_id(i, j, k + 1)
-            quads = (
-                (a, b, node_id(i - 1, j, k), node_id(i, j, k)),
-                (a, b, node_id(i - 1, j, k), node_id(i - 1, j - 1, k + 1)),
-                (a, b, node_id(i, j - 1, k + 1), node_id(i - 1, j - 1, k + 1)),
-                (a, b, node_id(i, j - 1, k + 1), node_id(i, j, k)),
-            )
-            out.extend(SubTet(q, FILL, i, slot) for slot, q in enumerate(quads))
+    append = out.append
+    for kind in kinds:
+        rows = [(slot, offsets) for name, slot, offsets in _TABLES[policy] if name == kind]
+        # every vertex stays in its level: j + dj + k + dk <= i - 1 + di
+        shrink = max(dj + dk - di for _, offsets in rows for di, dj, dk in offsets)
+        for k in range(i - shrink):
+            ids = [
+                (slot, *(base[di][k + dk] + dj for di, dj, dk in offsets))
+                for slot, offsets in rows
+            ]
+            for j in range(i - shrink - k):
+                for slot, a, b, c, d in ids:
+                    append(SubTet((j + a, j + b, j + c, j + d), kind, i, slot))
     return out
 
 
-def chunk_tets(level: int) -> list[SubTet]:
-    """Deep-interior tets of one level; empty below level 3.
+def upright_tets(level: int) -> list[SubTet]:
+    """Upright tets of one level, in construction order.  Count: i(i+1)/2."""
+    return _tets(level, (UPRIGHT,))
 
-    For k in [0, i-3], j in [0, i-k-3]: the tet on nodes (i-1, j+1, k),
-    (i-1, j+1, k+1), (i-1, j, k+1) and (i, j+1, k+1).
-    Count: (i-1)(i-2)/2.
-    """
-    _check_level(level)
-    i = level
-    return [
-        SubTet(
-            (
-                node_id(i - 1, j + 1, k),
-                node_id(i - 1, j + 1, k + 1),
-                node_id(i - 1, j, k + 1),
-                node_id(i, j + 1, k + 1),
-            ),
-            CHUNK,
-            i,
-        )
-        for k in range(max(0, i - 2))
-        for j in range(max(0, i - k - 2))
-    ]
+
+def fill_tets(level: int) -> list[SubTet]:
+    """Hole-filling tets of one level, four per hole.  Count: 2i(i-1)."""
+    return _tets(level, (FILL,))
+
+
+def chunk_tets(level: int) -> list[SubTet]:
+    """Deep-interior tets of one level.  Count: (i-1)(i-2)/2."""
+    return _tets(level, (CHUNK,))
 
 
 def level_tets(level: int) -> list[SubTet]:
-    """All tets contributed by one level: upright, then fill, then chunk.
-
-    Length is always 3i^2 - 3i + 1.
-    """
-    _check_level(level)
-    return upright_tets(level) + fill_tets(level) + chunk_tets(level)
-
-
-def _oriented(tet: SubTet, coords: tuple[Coords, ...]) -> SubTet:
-    # swapping the last two nodes flips the determinant sign
-    a, b, c, d = tet.nodes
-    if tet_volume6(coords[a], coords[b], coords[c], coords[d]) < 0:
-        return SubTet((a, b, d, c), tet.kind, tet.level, tet.fill_slot)
-    return tet
+    """All tets of one level: upright, then fill, then chunk.  Count: 3i^2 - 3i + 1."""
+    return _tets(level, KINDS)
 
 
 def generate(order: int, orientation_policy: str = POSITIVE) -> SubdivisionMesh:
@@ -169,10 +149,10 @@ def generate(order: int, orientation_policy: str = POSITIVE) -> SubdivisionMesh:
         Element order N >= 1.  (A degree-0 element has a single node and
         nothing to subdivide.)
     orientation_policy : str
-        ``"positive"`` (default) reorders each tet, by swapping its last
-        two nodes where needed, so every signed volume is +1/6 in lattice
-        units.  ``"as-generated"`` keeps the construction's node order,
-        under which some volumes are -1/6.
+        ``"positive"`` (default) swaps the last two nodes of every tet in
+        the classes whose construction order has signed volume -1/6, so
+        every signed volume is +1/6 in lattice units.  ``"as-generated"``
+        keeps the construction's node order.
 
     Returns
     -------
@@ -187,10 +167,8 @@ def generate(order: int, orientation_policy: str = POSITIVE) -> SubdivisionMesh:
             f"expected one of {ORIENTATION_POLICIES}"
         )
     nodes = tuple(enumerate_nodes(order))
-    coords = tuple(node_coords(n, order) for n in nodes)
+    coords = tuple((j, k, order - i) for i, j, k in nodes)
     tets: list[SubTet] = []
     for i in range(1, order + 1):
-        tets.extend(level_tets(i))
-    if orientation_policy == POSITIVE:
-        tets = [_oriented(t, coords) for t in tets]
+        tets += _tets(i, KINDS, orientation_policy)
     return SubdivisionMesh(order, nodes, coords, tuple(tets), orientation_policy)

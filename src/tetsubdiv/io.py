@@ -72,13 +72,36 @@ class PhysicalEmbedding:
     def __post_init__(self) -> None:
         if tet_volume6(*self.corners) == 0:
             raise ValueError("degenerate embedding: the 4 corners are coplanar")
+        # decided once per embedding; see node_position
+        floats = all(type(c) is float for corner in self.corners for c in corner)
+        object.__setattr__(self, "_float_weights", floats)
 
     def node_position(self, node: NodeIndex, order: int) -> tuple[float, float, float]:
-        """Physical position of a lattice node via exact barycentric weights."""
-        weights = node_barycentric(node, order)
-        return tuple(
-            float(sum(w * c[axis] for w, c in zip(weights, self.corners)))
-            for axis in range(3)
+        """Physical position of a lattice node via exact barycentric weights.
+
+        Each coordinate is ``sum`` over the corners, in order, of weight
+        times corner coordinate, with the weights of
+        :func:`tetsubdiv.lattice.node_barycentric`.  When every corner
+        coordinate is a float, the weights are the floats (N-i)/N,
+        (i-j-k)/N, j/N and k/N instead, and the bytes do not change:
+        Python evaluates ``Fraction * float`` as ``float(fraction) * float``,
+        and ``float(Fraction(a, n))`` is the correctly rounded ``a / n``, so
+        each product is the same float and ``sum`` adds the same floats.
+        Int or Fraction corners keep the Fraction weights, whose products
+        stay exact until the final rounding.
+        """
+        i, j, k = node
+        if self._float_weights and order >= 1 and 0 <= j <= i - k and 0 <= k <= i <= order:
+            w0, w1, w2, w3 = (order - i) / order, (i - j - k) / order, j / order, k / order
+        else:
+            # exact weights; an invalid node or order raises here
+            w0, w1, w2, w3 = node_barycentric(node, order)
+        a, b, c, d = self.corners
+        # sum(), not a chain of +: from Python 3.12 it compensates float sums
+        return (
+            float(sum((w0 * a[0], w1 * b[0], w2 * c[0], w3 * d[0]))),
+            float(sum((w0 * a[1], w1 * b[1], w2 * c[1], w3 * d[1]))),
+            float(sum((w0 * a[2], w1 * b[2], w2 * c[2], w3 * d[2]))),
         )
 
 
@@ -360,11 +383,12 @@ def apply_ordering_permutation(
         for old, new in enumerate(table):
             nodes[new] = target.nodes[old]
             coords[new] = target.coords[old]
-        tets = tuple(
-            SubTet(tuple(table[v] for v in t.nodes), t.kind, t.level, t.fill_slot)
-            for t in target.tets
-        )
+        tets = []
+        for t in target.tets:
+            a, b, c, d = t.nodes
+            ids = (table[a], table[b], table[c], table[d])
+            tets.append(SubTet(ids, t.kind, t.level, t.fill_slot))
         return SubdivisionMesh(
-            target.order, tuple(nodes), tuple(coords), tets, target.orientation_policy
+            target.order, tuple(nodes), tuple(coords), tuple(tets), target.orientation_policy
         )
     raise TypeError(f"cannot permute object of type {type(target).__name__}")

@@ -388,19 +388,24 @@ def _side_planes(pts: Sequence[Coords], scale: int) -> SidePlanes:
 def _bucket_tets(
     mesh: SubdivisionMesh, scale: int
 ) -> dict[tuple[int, int, int], list[SidePlanes]]:
-    # Tets are registered in every unit cell their bounding box touches, so
-    # the lookup stays exhaustive even for corrupted meshes that break the
-    # one-cell locality of honest output.
+    # Tets are registered in every unit cell of the element that their
+    # bounding box touches, so the lookup stays exhaustive even for corrupted
+    # meshes that break the one-cell locality of honest output.  Sample points
+    # lie in the element, in cells of [0, N)^3, so a box is clipped to those:
+    # at most N^3 cells, however far a corrupted node moves.
     buckets: dict[tuple[int, int, int], list[SidePlanes]] = {}
     coords = mesh.coords
+    n = mesh.order
     for tet in mesh.tets:
         pts = [coords[v] for v in tet.nodes]
         planes = _side_planes(pts, scale)
         xs, ys, zs = zip(*pts)
         lx, ly, lz = min(xs), min(ys), min(zs)
-        for cx in range(lx, max(max(xs), lx + 1)):
-            for cy in range(ly, max(max(ys), ly + 1)):
-                for cz in range(lz, max(max(zs), lz + 1)):
+        # a box flat on an axis still covers the cell at its low side
+        hx, hy, hz = max(max(xs), lx + 1), max(max(ys), ly + 1), max(max(zs), lz + 1)
+        for cx in range(lx if lx > 0 else 0, hx if hx < n else n):
+            for cy in range(ly if ly > 0 else 0, hy if hy < n else n):
+                for cz in range(lz if lz > 0 else 0, hz if hz < n else n):
                     buckets.setdefault((cx, cy, cz), []).append(planes)
     return buckets
 
@@ -447,7 +452,9 @@ def check_containment_sampling(
     test is exact and unambiguous.  A point is inside a tet when its four
     side planes (see :func:`_side_planes`) all have the same nonzero sign;
     sides are tested in vertex order and the first zero (redraw) or sign
-    mismatch (outside) decides.
+    mismatch (outside) decides.  If 10,000 drawn triples give no usable
+    point, sampling stops and the check fails, naming the cap in its
+    summary and details.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -461,13 +468,14 @@ def check_containment_sampling(
     gaps: list[str] = []
     overlaps: list[str] = []
     redraws = 0
-    for _ in range(samples):
+    capped_at = None  # the point whose draws reached the cap, if any
+    for sample in range(samples):
         attempts = 0
         while True:
             u, v, w, tries = next(points)
             attempts += tries
             if attempts > _MAX_ATTEMPTS:
-                raise RuntimeError("containment sampling failed to draw a usable point")
+                break
             if not (
                 u % d and v % d and w % d
                 and (u + v) % d and (u + w) % d and (v + w) % d and (u + v + w) % d
@@ -500,27 +508,35 @@ def check_containment_sampling(
             else:
                 break
             redraws += 1  # the point lies on a candidate tet's boundary
+        if attempts > _MAX_ATTEMPTS:
+            capped_at = sample
+            break
         label = f"({u}/{d}, {v}/{d}, {w}/{d})"
         if hits == 0:
             gaps.append(label)
         elif hits > 1:
             overlaps.append(label)
-    passed = not gaps and not overlaps
-    return CheckResult(
-        "containment-sampling",
-        passed,
-        f"{samples} points (seed {seed}): {len(gaps)} gaps, {len(overlaps)} overlaps",
-        {
-            "samples": samples,
-            "seed": seed,
-            "denominator": d,
-            "gaps": len(gaps),
-            "overlaps": len(overlaps),
-            "redraws": redraws,
-            "gap_points": gaps[:8],
-            "overlap_points": overlaps[:8],
-        },
-    )
+    summary = f"{samples} points (seed {seed}): {len(gaps)} gaps, {len(overlaps)} overlaps"
+    details: dict[str, Any] = {
+        "samples": samples,
+        "seed": seed,
+        "denominator": d,
+        "gaps": len(gaps),
+        "overlaps": len(overlaps),
+        "redraws": redraws,
+        "gap_points": gaps[:8],
+        "overlap_points": overlaps[:8],
+    }
+    if capped_at is not None:
+        # a tet whose sides are zero over a whole cell turns every point there
+        # into a redraw; that is a failure of the mesh, reported, not raised
+        summary += (
+            f"; draw cap reached: no usable point in {_MAX_ATTEMPTS} triples "
+            f"for point {capped_at}"
+        )
+        details["draw_cap_reached"] = {"point": capped_at, "triples": _MAX_ATTEMPTS}
+    passed = not gaps and not overlaps and capped_at is None
+    return CheckResult("containment-sampling", passed, summary, details)
 
 
 def _cross(a: Coords, b: Coords) -> Coords:

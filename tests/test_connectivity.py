@@ -1,5 +1,6 @@
 """Sub-tet construction: per-level counts, golden connectivity, orientation."""
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -18,7 +19,41 @@ from tetsubdiv.connectivity import (
     level_tets,
     upright_tets,
 )
+from tetsubdiv.io import write_json
 from tetsubdiv.lattice import enumerate_nodes, node_coords, tet_volume6
+
+# SHA-256 of write_json(generate(n, policy)), recorded before the
+# construction became the Kuhn class table; the golden VTK files stop at order 4
+GENERATE_DIGESTS = {
+    (5, POSITIVE): "2246adc84f59d07f40c7fe730a053aa2dd269738d993f719689d39ab66d62746",
+    (5, AS_GENERATED): "38b21d76ccfe8376b83b20fd6cdba9e01509ce64ac6c9a935ea5eb66690d437f",
+    (8, POSITIVE): "e4fa8dff50fbc8e41d20d1a3f559a45312e8df406a0a69d6de14d9876d663d3d",
+    (8, AS_GENERATED): "2ca903c6a417895cafe510f76610d6736396e53fb8c993c2bec19380c5656632",
+    (16, POSITIVE): "d1f1b54eb99bb1d1d9f65fd38e8decb6764728fe05808f5785fbfe096673a5e5",
+    (16, AS_GENERATED): "37d48adec92be27bb186843e767640a1222b582d2eaa2839aa7dfcd693b08224",
+}
+# SHA-256 of repr([kind_tets(i) for i in 1..12]), recorded with the digests above
+KIND_DIGESTS = {
+    upright_tets: "39f27b5430335d6e9209cecb99dd0258729ce45eafc8656a6ac3163f1a544ff8",
+    fill_tets: "813280f06acd2da9ababaa984ccd5774853816f943dc3551ad0686a22da41506",
+    chunk_tets: "fca389c3bd397ed5739c387c96fa653fcccd294548b51d1b93439ad38305b40f",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("order, policy", sorted(GENERATE_DIGESTS))
+def test_generate_matches_recorded_digest(order, policy):
+    data = write_json(generate(order, policy))
+    assert _sha256(data) == GENERATE_DIGESTS[order, policy]
+
+
+@pytest.mark.parametrize("kind_tets", list(KIND_DIGESTS), ids=lambda f: f.__name__)
+def test_kind_tets_match_recorded_digest(kind_tets):
+    text = repr([kind_tets(i) for i in range(1, 13)])
+    assert _sha256(text.encode()) == KIND_DIGESTS[kind_tets]
 
 
 def test_per_level_counts():
@@ -101,6 +136,22 @@ def test_as_generated_policy_keeps_signs():
     mesh = generate(5, AS_GENERATED)
     signs = {tet_volume6(*(mesh.coords[v] for v in tet.nodes)) for tet in mesh.tets}
     assert signs == {-1, 1}
+
+
+def test_orientation_is_one_sign_per_class():
+    expected = {
+        (UPRIGHT, None): -1,
+        (FILL, 0): 1,
+        (FILL, 1): -1,
+        (FILL, 2): 1,
+        (FILL, 3): -1,
+        (CHUNK, None): -1,
+    }
+    for n in range(1, 9):
+        mesh = generate(n, AS_GENERATED)
+        for tet in mesh.tets:
+            sign = tet_volume6(*(mesh.coords[v] for v in tet.nodes))
+            assert sign == expected[tet.kind, tet.fill_slot]
 
 
 def test_policies_preserve_vertex_sets():

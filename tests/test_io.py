@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import random
 import re
 
 import pytest
@@ -20,7 +21,13 @@ from tetsubdiv.io import (
     write_off_boundary,
     write_vtk_legacy,
 )
-from tetsubdiv.lattice import NodeIndex, node_count
+from tetsubdiv.lattice import (
+    NodeIndex,
+    enumerate_nodes,
+    node_barycentric,
+    node_count,
+    tet_volume6,
+)
 
 UNIT_CORNERS = ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
@@ -45,6 +52,51 @@ def test_embedding_maps_corners_and_midpoints():
     assert scaled.node_position(NodeIndex(2, 2, 0), 2) == (2.0, 0.0, 0.0)
     assert scaled.node_position(NodeIndex(1, 0, 0), 2) == (0.0, 0.0, 1.0)
     assert scaled.node_position(NodeIndex(2, 1, 1), 2) == (1.0, 1.0, 0.0)
+
+
+def test_embedding_int_corners_stay_exact():
+    # float weights would give 0.8 * 3 = 2.4000000000000004 here
+    exact = PhysicalEmbedding(((0, 0, 3), (0, 0, 0), (3, 0, 0), (0, 3, 0)))
+    assert exact.node_position(NodeIndex(1, 0, 0), 5) == (0.0, 0.0, 2.4)
+
+
+def _seeded_float_corners(rng):
+    """Random float corners; some coordinates are -0.0, a few are huge."""
+    while True:
+        corners = [[rng.uniform(-10.0, 10.0) for _ in range(3)] for _ in range(4)]
+        for corner in corners:
+            for axis in range(3):
+                roll = rng.random()
+                if roll < 0.2:
+                    corner[axis] = -0.0
+                elif roll < 0.25:
+                    corner[axis] = rng.choice((1e308, -1e308, 5e-324))
+        corners = tuple(tuple(c) for c in corners)
+        if tet_volume6(*corners) != 0:
+            return corners
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_vtk_points_equal_the_exact_weighted_sum(order):
+    # reference: exact barycentric weights, combined as Fraction * float
+    rng = random.Random(order)
+    mesh = generate(order)
+    weights = [node_barycentric(n, order) for n in enumerate_nodes(order)]
+    signed_zero = (
+        (-0.0, -0.0, -1.0), (0.0, -0.0, -0.0), (-1.0, -0.0, -0.0), (-0.0, -1.0, -0.0)
+    )
+    for corners in [_seeded_float_corners(rng) for _ in range(3)] + [signed_zero]:
+        data = write_vtk_legacy(mesh, embedding=PhysicalEmbedding(corners))
+        lines = data.decode().splitlines()
+        start = lines.index(f"POINTS {len(mesh.nodes)} double") + 1
+        expected = [
+            " ".join(
+                str(float(sum(w * c[axis] for w, c in zip(ws, corners))))
+                for axis in range(3)
+            )
+            for ws in weights
+        ]
+        assert lines[start : start + len(expected)] == expected
 
 
 def test_vtk_order_1_exact_bytes():

@@ -1,5 +1,6 @@
 """Exact validation checks: pass on honest meshes, fail on corrupted ones."""
 
+import io
 import json
 import random
 
@@ -7,11 +8,14 @@ import pytest
 
 from _meshes import replace_tets, with_moved_node, without_chunks
 from tetsubdiv.connectivity import AS_GENERATED, SubTet, SubdivisionMesh, generate
+from tetsubdiv.io import read_json, write_json
 from tetsubdiv.lattice import enumerate_nodes, node_coords, tet_volume6
 from tetsubdiv.validation import (
+    _MAX_ATTEMPTS,
     _SAMPLE_DENOMINATOR,
     BOUNDARY_PLANES,
     INTERIOR,
+    _bucket_tets,
     _side_planes,
     boundary_faces,
     build_face_incidence,
@@ -216,6 +220,38 @@ def test_containment_rejects_order_below_one(order):
     mesh = SubdivisionMesh(order, (), (), (), AS_GENERATED)
     with pytest.raises(ValueError, match="order"):
         check_containment_sampling(mesh, samples=1)
+
+
+def _edited_order2(edit):
+    """An order-2 document edited as parsed JSON, then read back."""
+    doc = json.loads(write_json(generate(2)))
+    edit(doc)
+    mesh, _ = read_json(io.BytesIO(json.dumps(doc).encode()))
+    return mesh
+
+
+@pytest.mark.parametrize("far", [300, 3000])
+def test_buckets_stay_in_the_element_for_a_far_node(far):
+    # node 9 is the corner (0, 2, 0); unclipped, its tets' boxes would fill
+    # about far^2 cells
+    mesh = _edited_order2(lambda doc: doc["nodes"][9].update(x=far, y=far))
+    assert len(_bucket_tets(mesh, _SAMPLE_DENOMINATOR)) <= mesh.order**3
+    report = validate(mesh, samples=200)
+    assert not report.passed
+
+
+def test_draw_cap_fails_the_check_instead_of_raising():
+    # a repeated node id zeroes side 1 everywhere and the box covers the
+    # element, so every drawn point is redrawn until the cap
+    mesh = _edited_order2(
+        lambda doc: doc["tets"].append({"nodes": [0, 6, 0, 9], "kind": "upright", "level": 2})
+    )
+    report = validate(mesh, samples=200)
+    assert not report.passed
+    result = next(c for c in report.checks if c.name == "containment-sampling")
+    assert not result.passed
+    assert "draw cap reached" in result.summary
+    assert result.details["draw_cap_reached"] == {"point": 0, "triples": _MAX_ATTEMPTS}
 
 
 def test_side_planes_match_the_scaled_determinants():
