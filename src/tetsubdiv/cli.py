@@ -5,7 +5,7 @@ Subcommands::
     tetsubdiv gen       generate a subdivision and write VTK / JSON / OFF
     tetsubdiv validate  run the exact validation suite on a mesh
     tetsubdiv info      print counts for an order without writing anything
-    tetsubdiv resample  re-emit a nodal field for the subdivided mesh
+    tetsubdiv resample  gen --format vtk with a required --field
 
 Exit codes: 0 success, 2 usage or invalid input, 3 I/O error,
 4 validation failure.
@@ -23,6 +23,7 @@ from .connectivity import (
     ORIENTATION_POLICIES,
     POSITIVE,
     UPRIGHT,
+    expected_counts,
     generate,
 )
 from .io import (
@@ -44,12 +45,12 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 
-def _add_order_argument(parser: argparse.ArgumentParser, required: bool = True) -> None:
+def _add_order_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--order",
         "-n",
         type=int,
-        required=required,
+        required=True,
         help="polynomial order N of the element (N >= 1)",
     )
 
@@ -61,6 +62,36 @@ def _add_policy_argument(parser: argparse.ArgumentParser) -> None:
         default=POSITIVE,
         help=f"node-ordering policy for generated tets (default: {POSITIVE})",
     )
+
+
+def _add_export_arguments(parser: argparse.ArgumentParser) -> argparse.Action:
+    """The options ``gen`` and ``resample`` share; returns the ``--field`` action."""
+    _add_order_argument(parser)
+    _add_policy_argument(parser)
+    parser.add_argument("--out", "-o", required=True, help="output path ('-' for stdout)")
+    field = parser.add_argument(
+        "--field",
+        action="append",
+        default=[],
+        metavar="PATH",
+        help="nodal field file (JSON array or whitespace-separated numbers); "
+        "may be repeated",
+    )
+    parser.add_argument(
+        "--embedding",
+        nargs=12,
+        type=float,
+        metavar="F",
+        help="physical corner positions, 12 floats: apex xyz then the three "
+        "base corners xyz",
+    )
+    parser.add_argument(
+        "--permutation",
+        metavar="PATH",
+        help="node-ordering permutation table (table[old_id] = new_id) applied "
+        "to the mesh and any fields before writing",
+    )
+    return field
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,36 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a subdivision and write it out")
-    _add_order_argument(gen)
-    _add_policy_argument(gen)
+    _add_export_arguments(gen)
     gen.add_argument(
         "--format",
         choices=("vtk", "json", "off"),
         default="vtk",
         help="output format (default: vtk)",
-    )
-    gen.add_argument("--out", "-o", required=True, help="output path ('-' for stdout)")
-    gen.add_argument(
-        "--field",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="nodal field file (JSON array or whitespace-separated numbers); "
-        "may be repeated",
-    )
-    gen.add_argument(
-        "--embedding",
-        nargs=12,
-        type=float,
-        metavar="F",
-        help="physical corner positions, 12 floats: apex xyz then the three "
-        "base corners xyz",
-    )
-    gen.add_argument(
-        "--permutation",
-        metavar="PATH",
-        help="node-ordering permutation table (table[old_id] = new_id) applied "
-        "to the mesh and any fields before writing",
     )
 
     val = sub.add_parser("validate", help="run the exact validation suite")
@@ -136,24 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach a nodal field to the subdivided mesh and write VTK "
         "(values transfer unchanged because subdivision adds no nodes)",
     )
-    _add_order_argument(res)
-    _add_policy_argument(res)
-    res.add_argument("--field", required=True, metavar="PATH", help="input field file")
-    res.add_argument("--out", "-o", required=True, help="output path ('-' for stdout)")
-    res.add_argument(
-        "--embedding",
-        nargs=12,
-        type=float,
-        metavar="F",
-        help="physical corner positions, 12 floats: apex xyz then the three "
-        "base corners xyz",
-    )
-    res.add_argument(
-        "--permutation",
-        metavar="PATH",
-        help="node-ordering permutation table applied to the mesh and the "
-        "field before writing",
-    )
+    # runs _cmd_gen: gen --format vtk with at least one --field
+    field = _add_export_arguments(res)
+    field.required = True
+    res.set_defaults(format="vtk")
     return parser
 
 
@@ -211,34 +204,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    mesh = generate(args.order)
     n = args.order
-    by_kind = {UPRIGHT: 0, FILL: 0, CHUNK: 0}
-    by_level = [0] * (n + 1)
-    for t in mesh.tets:
-        by_kind[t.kind] += 1
-        by_level[t.level] += 1
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}: nothing to subdivide")
+    levels, kinds = expected_counts(n)
     print(f"order:            {n}")
     print(f"nodes:            {node_count(n)}")
-    print(f"tets:             {len(mesh.tets)}  (= {n}^3)")
-    print(f"per-level counts: {' '.join(str(c) for c in by_level[1:])}")
+    print(f"tets:             {n ** 3}  (= {n}^3)")
+    print(f"per-level counts: {' '.join(str(c) for c in levels.values())}")
     print(
         "per-kind counts:  "
-        f"upright={by_kind[UPRIGHT]} fill={by_kind[FILL]} chunk={by_kind[CHUNK]}"
+        f"upright={kinds[UPRIGHT]} fill={kinds[FILL]} chunk={kinds[CHUNK]}"
     )
-    return EXIT_OK
-
-
-def _cmd_resample(args: argparse.Namespace) -> int:
-    mesh = generate(args.order, args.orientation)
-    field = read_field(args.field, args.order)
-    if args.permutation is not None:
-        table = load_permutation(args.permutation)
-        mesh = apply_ordering_permutation(mesh, table)
-        field = apply_ordering_permutation(field, table)
-    embedding = _parse_embedding(args.embedding)
-    data = write_vtk_legacy(mesh, fields=[field], embedding=embedding)
-    _write_out(args.out, data)
     return EXIT_OK
 
 
@@ -246,7 +223,7 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "validate": _cmd_validate,
     "info": _cmd_info,
-    "resample": _cmd_resample,
+    "resample": _cmd_gen,
 }
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Coords, NodeIndex, enumerate_nodes, tet_volume6
+from .lattice import Coords, NodeIndex, enumerate_nodes, node_coords, tet_volume6
 
 UPRIGHT = "upright"
 FILL = "fill"
@@ -140,6 +140,25 @@ def level_tets(level: int) -> list[SubTet]:
     return _tets(level, KINDS)
 
 
+def expected_counts(order: int) -> tuple[dict[int, int], dict[str, int]]:
+    """Closed-form tet counts of ``generate(order)``: per level 1..N, and per kind.
+
+    Level i holds 3i^2 - 3i + 1 tets.  Summed over the levels, the kinds
+    give upright N(N+1)(N+2)/6, fill 2(N-1)N(N+1)/3 and chunk N(N-1)(N-2)/6.
+    Order 0 gives no levels and zero of every kind.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    n = order
+    levels = {i: 3 * i * i - 3 * i + 1 for i in range(1, n + 1)}
+    kinds = {
+        UPRIGHT: n * (n + 1) * (n + 2) // 6,
+        FILL: 2 * (n - 1) * n * (n + 1) // 3,
+        CHUNK: n * (n - 1) * (n - 2) // 6,
+    }
+    return levels, kinds
+
+
 def generate(order: int, orientation_policy: str = POSITIVE) -> SubdivisionMesh:
     """Build the full order-N subdivision mesh.
 
@@ -167,7 +186,7 @@ def generate(order: int, orientation_policy: str = POSITIVE) -> SubdivisionMesh:
             f"expected one of {ORIENTATION_POLICIES}"
         )
     nodes = tuple(enumerate_nodes(order))
-    coords = tuple((j, k, order - i) for i, j, k in nodes)
+    coords = tuple(node_coords(v, order) for v in nodes)
     tets: list[SubTet] = []
     for i in range(1, order + 1):
         tets += _tets(i, KINDS, orientation_policy)

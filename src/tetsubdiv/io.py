@@ -26,10 +26,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import IO, Any, Sequence, Union
 
 from .connectivity import KINDS, ORIENTATION_POLICIES, SubTet, SubdivisionMesh
-from .lattice import NodeIndex, node_barycentric, node_count, tet_volume6
+from .lattice import Coords, NodeIndex, node_count, tet_volume6
 from .validation import boundary_faces, build_face_incidence
 
 JSON_FORMAT_VERSION = 1
@@ -76,26 +77,24 @@ class PhysicalEmbedding:
         floats = all(type(c) is float for corner in self.corners for c in corner)
         object.__setattr__(self, "_float_weights", floats)
 
-    def node_position(self, node: NodeIndex, order: int) -> tuple[float, float, float]:
-        """Physical position of a lattice node via exact barycentric weights.
+    def node_position(self, point: Coords, order: int) -> tuple[float, float, float]:
+        """Affine image of the lattice point (x, y, z), such as ``mesh.coords[v]``.
 
-        Each coordinate is ``sum`` over the corners, in order, of weight
-        times corner coordinate, with the weights of
-        :func:`tetsubdiv.lattice.node_barycentric`.  When every corner
-        coordinate is a float, the weights are the floats (N-i)/N,
-        (i-j-k)/N, j/N and k/N instead, and the bytes do not change:
-        Python evaluates ``Fraction * float`` as ``float(fraction) * float``,
-        and ``float(Fraction(a, n))`` is the correctly rounded ``a / n``, so
-        each product is the same float and ``sum`` adds the same floats.
-        Int or Fraction corners keep the Fraction weights, whose products
-        stay exact until the final rounding.
+        The corners' barycentric weights are (z, N-x-y-z, x, y)/N, the
+        weights :func:`tetsubdiv.lattice.node_barycentric` gives node
+        (i, j, k) at (j, k, N-i).  Each coordinate is ``sum`` over the
+        corners, in order, of weight times corner coordinate.  The weights
+        are float quotients when every corner coordinate is a float, and
+        Fractions otherwise, whose products stay exact until the final
+        rounding.  On float corners both give the same floats: Python
+        evaluates ``Fraction * float`` as ``float(fraction) * float``, and
+        ``float(Fraction(a, n))`` is the correctly rounded ``a / n``.
         """
-        i, j, k = node
-        if self._float_weights and order >= 1 and 0 <= j <= i - k and 0 <= k <= i <= order:
-            w0, w1, w2, w3 = (order - i) / order, (i - j - k) / order, j / order, k / order
+        x, y, z = point
+        if self._float_weights:
+            w0, w1, w2, w3 = z / order, (order - x - y - z) / order, x / order, y / order
         else:
-            # exact weights; an invalid node or order raises here
-            w0, w1, w2, w3 = node_barycentric(node, order)
+            w0, w1, w2, w3 = (Fraction(v, order) for v in (z, order - x - y - z, x, y))
         a, b, c, d = self.corners
         # sum(), not a chain of +: from Python 3.12 it compensates float sums
         return (
@@ -106,10 +105,10 @@ class PhysicalEmbedding:
 
 
 def _check_fields(mesh: SubdivisionMesh, fields: Sequence[FieldData]) -> None:
-    for f in fields:
+    for pos, f in enumerate(fields):
         if len(f.values) != len(mesh.nodes):
             raise ValueError(
-                f"field {f.name!r} has {len(f.values)} values, "
+                f"fields[{pos}] ({f.name!r}) has {len(f.values)} values, "
                 f"expected {len(mesh.nodes)} for order {mesh.order}"
             )
 
@@ -141,9 +140,9 @@ def write_vtk_legacy(
 ) -> bytes:
     """Serialize the mesh as a legacy ASCII VTK unstructured grid.
 
-    Points are the lattice nodes in canonical order (lattice coordinates,
-    or physical coordinates when ``embedding`` is given); cells are the
-    N^3 sub-tets as VTK cell type 10; each field becomes a SCALARS block.
+    Points are ``mesh.coords``, or their affine image under ``embedding``
+    when it is given; cells are the N^3 sub-tets as VTK cell type 10; each
+    field becomes a SCALARS block.
     Returns the bytes and, if ``destination`` is a path or writable
     object, also writes them.
     """
@@ -152,7 +151,7 @@ def write_vtk_legacy(
     if embedding is None:
         points: Sequence[tuple[float, float, float]] = mesh.coords
     else:
-        points = [embedding.node_position(n, mesh.order) for n in mesh.nodes]
+        points = [embedding.node_position(p, mesh.order) for p in mesh.coords]
     lines = [
         "# vtk DataFile Version 3.0",
         f"tetsubdiv order-{mesh.order} subdivision",
@@ -220,18 +219,40 @@ def _strict_int(value: Any, section: str, pos: int, key: str) -> int:
     return value
 
 
+def _field_values(raw: Any, where: str) -> tuple[float, ...]:
+    """``raw`` as floats if it is a JSON array of finite numbers.
+
+    Bools, strings, nulls and nested arrays are refused, and so are values
+    that do not fit a float; the error names the position as ``where[pos]``.
+    """
+    if not isinstance(raw, list):
+        raise ValueError(f"{where} must be a JSON array of numbers, got {raw!r:.40}")
+    values = []
+    for pos, v in enumerate(raw):
+        try:
+            # type(), not isinstance(): bool is a subclass of int
+            value = float(v) if type(v) in (int, float) else None
+        except OverflowError:  # an int beyond the float range
+            value = None
+        if value is None or not math.isfinite(value):
+            raise ValueError(f"{where}[{pos}] must be a finite number, got {v!r:.40}")
+        values.append(value)
+    return tuple(values)
+
+
 def read_json(source: Source) -> tuple[SubdivisionMesh, list[FieldData]]:
     """Parse a mesh document written by :func:`write_json`.
 
     Raises ``ValueError`` (with position information for malformed JSON)
-    on any structural problem.  Integer fields must be JSON integers and
-    the order must be >= 1; the error names the offending position.
+    on any structural problem.  Integer fields must be JSON integers, the
+    order must be >= 1, and each field needs a name and one finite number
+    per node; the error names the offending position.
     """
     doc = json.loads(_read_text(source))
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
     version = doc.get("format_version")
-    if isinstance(version, bool) or version != JSON_FORMAT_VERSION:
+    if type(version) is not int or version != JSON_FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
     try:
         order = doc["order"]
@@ -240,9 +261,10 @@ def read_json(source: Source) -> tuple[SubdivisionMesh, list[FieldData]]:
         raw_tets = doc["tets"]
     except KeyError as exc:
         raise ValueError(f"mesh document missing key {exc.args[0]!r}") from exc
+    raw_fields = doc.get("fields", [])
     if type(order) is not int or order < 1:
         raise ValueError(f"order must be an integer >= 1, got {order!r:.40}")
-    for key, value in (("nodes", raw_nodes), ("tets", raw_tets)):
+    for key, value in (("nodes", raw_nodes), ("tets", raw_tets), ("fields", raw_fields)):
         if not isinstance(value, list):
             raise ValueError(f"{key} must be a JSON array, got {value!r:.40}")
     if policy not in ORIENTATION_POLICIES:
@@ -275,10 +297,17 @@ def read_json(source: Source) -> tuple[SubdivisionMesh, list[FieldData]]:
             slot = _strict_int(slot, "tets", pos, "fill_slot")
         tets.append(SubTet(ids, kind, level, slot))
     mesh = SubdivisionMesh(order, tuple(nodes), tuple(coords), tuple(tets), policy)
-    fields = [
-        FieldData(f["name"], tuple(float(v) for v in f["values"]))
-        for f in doc.get("fields", [])
-    ]
+    fields = []
+    for pos, f in enumerate(raw_fields):
+        if not isinstance(f, dict):
+            raise ValueError(f"fields[{pos}] must be a JSON object, got {f!r:.40}")
+        name = f.get("name")
+        if type(name) is not str or not name:
+            raise ValueError(
+                f"fields[{pos}].name must be a non-empty string, got {name!r:.40}"
+            )
+        fields.append(FieldData(name, _field_values(f.get("values"), f"fields[{pos}].values")))
+    _check_fields(mesh, fields)
     return mesh, fields
 
 
@@ -313,10 +342,10 @@ def write_off_boundary(mesh: SubdivisionMesh, destination: Destination = None) -
 
 
 def read_field(source: Source, order: int, name: str | None = None) -> FieldData:
-    """Read a nodal field: a JSON array or whitespace-separated decimals.
+    """Read a nodal field: a JSON array of numbers or whitespace-separated decimals.
 
     The value count must equal ``node_count(order)``; the mismatch error
-    names the expected count.
+    names the expected count.  Anything else raises ``ValueError``.
     """
     text = _read_text(source).strip()
     if name is None:
@@ -325,18 +354,15 @@ def read_field(source: Source, order: int, name: str | None = None) -> FieldData
         else:
             name = os.path.splitext(os.path.basename(os.fspath(source)))[0] or "field"
     if text.startswith("["):
-        raw = json.loads(text)
-        if not isinstance(raw, list):
-            raise ValueError("JSON field input must be an array of numbers")
-        values = [float(v) for v in raw]
+        values = _field_values(json.loads(text), "field")
     else:
-        values = [float(tok) for tok in text.split()]
+        values = tuple(float(tok) for tok in text.split())
     expected = node_count(order)
     if len(values) != expected:
         raise ValueError(
             f"field has {len(values)} values but order {order} requires {expected}"
         )
-    return FieldData(name, tuple(values))
+    return FieldData(name, values)
 
 
 def load_permutation(source: Source) -> list[int]:

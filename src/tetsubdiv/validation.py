@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterator, Sequence
 
-from .connectivity import POSITIVE, SubTet, SubdivisionMesh
+from .connectivity import POSITIVE, SubTet, SubdivisionMesh, expected_counts
 from .lattice import (
     Coords,
     enumerate_nodes,
@@ -286,8 +286,9 @@ def check_counts(mesh: SubdivisionMesh) -> CheckResult:
         and list(mesh.nodes) == enumerate_nodes(n)
         and list(mesh.coords) == [node_coords(v, n) for v in mesh.nodes]
     )
-    level_counts: dict[int, int] = {i: 0 for i in range(1, n + 1)}
-    kind_counts = {"upright": 0, "fill": 0, "chunk": 0}
+    expected_levels, expected_kinds = expected_counts(n)
+    level_counts = dict.fromkeys(expected_levels, 0)
+    kind_counts = dict.fromkeys(expected_kinds, 0)
     tags_ok = True
     for t in mesh.tets:
         if t.level in level_counts:
@@ -298,12 +299,6 @@ def check_counts(mesh: SubdivisionMesh) -> CheckResult:
             kind_counts[t.kind] += 1
         else:
             tags_ok = False
-    expected_levels = {i: 3 * i * i - 3 * i + 1 for i in range(1, n + 1)}
-    expected_kinds = {
-        "upright": sum(i * (i + 1) // 2 for i in range(1, n + 1)),
-        "fill": sum(2 * i * (i - 1) for i in range(1, n + 1)),
-        "chunk": sum((i - 1) * (i - 2) // 2 for i in range(1, n + 1)),
-    }
     passed = (
         lattice_ok
         and tags_ok

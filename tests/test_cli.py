@@ -3,7 +3,11 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
+import pytest
+
+from tetsubdiv import cli
 from tetsubdiv.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
 from tetsubdiv.connectivity import generate
 from tetsubdiv.io import FieldData, write_json, write_off_boundary, write_vtk_legacy
@@ -126,6 +130,64 @@ def test_info_output(capsys):
     assert "tets:             27  (= 3^3)" in out
     assert "per-level counts: 1 7 19" in out
     assert "upright=10 fill=16 chunk=1" in out
+
+
+def test_info_counts_match_generate(capsys):
+    for n in range(1, 13):
+        assert run(["info", "--order", str(n)]) == EXIT_OK
+        mesh = generate(n)
+        levels = Counter(t.level for t in mesh.tets)
+        kinds = Counter(t.kind for t in mesh.tets)
+        assert capsys.readouterr().out.splitlines() == [
+            f"order:            {n}",
+            f"nodes:            {len(mesh.nodes)}",
+            f"tets:             {len(mesh.tets)}  (= {n}^3)",
+            "per-level counts: " + " ".join(str(levels[i]) for i in range(1, n + 1)),
+            f"per-kind counts:  upright={kinds['upright']} fill={kinds['fill']} "
+            f"chunk={kinds['chunk']}",
+        ]
+
+
+def test_info_does_not_generate(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("info must not build the mesh")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    assert run(["info", "--order", "64"]) == EXIT_OK
+    assert "tets:             262144  (= 64^3)" in capsys.readouterr().out
+    assert run(["info", "--order", "0"]) == EXIT_USAGE
+    assert run(["info", "--order", "-2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("extra", ["", "embedding", "permutation", "embedding permutation"])
+def test_resample_is_gen_vtk_with_field(tmp_path, extra):
+    fpath = tmp_path / "vals.txt"
+    fpath.write_text(" ".join(str(0.25 * v) for v in range(20)))
+    ppath = tmp_path / "perm.txt"
+    ppath.write_text(" ".join(str((7 * v + 3) % 20) for v in range(20)))
+    args = ["--order", "3", "--field", str(fpath)]
+    if "embedding" in extra:
+        args += ["--embedding", "0.1", "0", "2", "0", "-1", "0", "3", "0.5", "0", "0", "2.5", "1"]
+    if "permutation" in extra:
+        args += ["--permutation", str(ppath)]
+    res, gen = tmp_path / "res.vtk", tmp_path / "gen.vtk"
+    assert run(["resample", *args, "--out", str(res)]) == EXIT_OK
+    assert run(["gen", "--format", "vtk", *args, "--out", str(gen)]) == EXIT_OK
+    assert res.read_bytes() == gen.read_bytes()
+
+
+def test_resample_requires_a_field(capsys):
+    assert run(["resample", "--order", "1", "--out", "-"]) == EXIT_USAGE
+    assert run(["resample", "--order", "1", "--out", "-", "--format", "json"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["[[1], 2, 3, 4]", "[null, 1, 2, 3]", "[true, 1, 2, 3]"])
+def test_gen_rejects_non_number_field_values(tmp_path, capsys, text):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(text)
+    assert run(["gen", "--order", "1", "--field", str(fpath), "--out", "-"]) == EXIT_USAGE
+    assert "field[0] must be a finite number" in capsys.readouterr().err
 
 
 def test_resample_writes_vtk_with_point_data(tmp_path):

@@ -10,10 +10,12 @@ from tetsubdiv.connectivity import (
     AS_GENERATED,
     CHUNK,
     FILL,
+    KINDS,
     POSITIVE,
     UPRIGHT,
     SubTet,
     chunk_tets,
+    expected_counts,
     fill_tets,
     generate,
     level_tets,
@@ -117,6 +119,18 @@ def test_generate_counts():
         assert len(mesh.tets) == n**3
         assert list(mesh.nodes) == enumerate_nodes(n)
         assert list(mesh.coords) == [node_coords(v, n) for v in mesh.nodes]
+
+
+def test_expected_counts_match_generated_tets():
+    for n in range(1, 13):
+        tets = generate(n).tets
+        levels, kinds = expected_counts(n)
+        assert levels == dict(sorted(Counter(t.level for t in tets).items()))
+        assert kinds == {kind: sum(t.kind == kind for t in tets) for kind in KINDS}
+        assert sum(levels.values()) == sum(kinds.values()) == n**3
+    assert expected_counts(0) == ({}, {UPRIGHT: 0, FILL: 0, CHUNK: 0})
+    with pytest.raises(ValueError):
+        expected_counts(-1)
 
 
 def test_generate_is_deterministic():

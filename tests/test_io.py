@@ -1,5 +1,6 @@
 """Serialization: VTK legacy, JSON round-trip, OFF boundary, fields, permutations."""
 
+import dataclasses
 import io
 import json
 import math
@@ -22,7 +23,6 @@ from tetsubdiv.io import (
     write_vtk_legacy,
 )
 from tetsubdiv.lattice import (
-    NodeIndex,
     enumerate_nodes,
     node_barycentric,
     node_count,
@@ -47,17 +47,18 @@ def test_embedding_rejects_coplanar_corners():
 
 
 def test_embedding_maps_corners_and_midpoints():
+    # lattice points of nodes (0, 0, 0), (2, 2, 0), (1, 0, 0) and (2, 1, 1)
     scaled = PhysicalEmbedding(((0, 0, 2), (0, 0, 0), (2, 0, 0), (0, 2, 0)))
-    assert scaled.node_position(NodeIndex(0, 0, 0), 2) == (0.0, 0.0, 2.0)
-    assert scaled.node_position(NodeIndex(2, 2, 0), 2) == (2.0, 0.0, 0.0)
-    assert scaled.node_position(NodeIndex(1, 0, 0), 2) == (0.0, 0.0, 1.0)
-    assert scaled.node_position(NodeIndex(2, 1, 1), 2) == (1.0, 1.0, 0.0)
+    assert scaled.node_position((0, 0, 2), 2) == (0.0, 0.0, 2.0)
+    assert scaled.node_position((2, 0, 0), 2) == (2.0, 0.0, 0.0)
+    assert scaled.node_position((0, 0, 1), 2) == (0.0, 0.0, 1.0)
+    assert scaled.node_position((1, 1, 0), 2) == (1.0, 1.0, 0.0)
 
 
 def test_embedding_int_corners_stay_exact():
     # float weights would give 0.8 * 3 = 2.4000000000000004 here
     exact = PhysicalEmbedding(((0, 0, 3), (0, 0, 0), (3, 0, 0), (0, 3, 0)))
-    assert exact.node_position(NodeIndex(1, 0, 0), 5) == (0.0, 0.0, 2.4)
+    assert exact.node_position((0, 0, 4), 5) == (0.0, 0.0, 2.4)
 
 
 def _seeded_float_corners(rng):
@@ -154,6 +155,22 @@ def test_vtk_embedding_replaces_points():
     ]
 
 
+def test_vtk_points_follow_mesh_coords():
+    # node 7 of order 2 moves from (0, 1, 0) to (1, 1, 0); ids stay as they were
+    mesh = generate(2)
+    coords = list(mesh.coords)
+    coords[7] = (1, 1, 0)
+    moved = dataclasses.replace(mesh, coords=tuple(coords))
+    embedding = PhysicalEmbedding(
+        ((0.5, 0.0, 3.0), (0.0, -1.0, 0.0), (2.0, 0.0, 0.25), (0.0, 2.0, 1.0))
+    )
+    position = embedding.node_position((1, 1, 0), 2)
+    assert position != embedding.node_position(mesh.coords[7], 2)
+    for emb, row in ((None, "1.0 1.0 0.0"), (embedding, "{} {} {}".format(*position))):
+        lines = write_vtk_legacy(moved, embedding=emb).decode().splitlines()
+        assert lines[lines.index("POINTS 10 double") + 1 + 7] == row
+
+
 def test_vtk_rejects_wrong_field_length():
     with pytest.raises(ValueError, match="expected 4"):
         write_vtk_legacy(generate(1), fields=[FieldData("f", (1.0, 2.0))])
@@ -218,6 +235,8 @@ def test_read_json_structural_errors():
         read_json(broken(format_version=99))
     with pytest.raises(ValueError, match="format_version"):
         read_json(broken(format_version=True))
+    with pytest.raises(ValueError, match="format_version"):
+        read_json(broken(format_version=1.0))
     with pytest.raises(ValueError, match="nodes must be a JSON array"):
         read_json(broken(nodes=5))
     with pytest.raises(ValueError, match="tets must be a JSON array"):
@@ -275,6 +294,35 @@ def test_read_json_rejects_non_integer_fields(where, value):
         doc["tets"][2]["nodes"][1] = value
     else:
         doc["tets"][2][where.rsplit(".", 1)[1]] = value
+    with pytest.raises(ValueError, match=re.escape(where)):
+        read_json(io.StringIO(json.dumps(doc)))
+
+
+GOOD_VALUES = [0.5] * 10
+
+
+@pytest.mark.parametrize(
+    "fields, where",
+    [
+        (5, "fields must be"),
+        ([5], "fields[0] must be"),
+        ([{"name": "u", "values": 5}], "fields[0].values must be"),
+        ([{"values": GOOD_VALUES}], "fields[0].name"),
+        ([{"name": 3, "values": GOOD_VALUES}], "fields[0].name"),
+        ([{"name": "", "values": GOOD_VALUES}], "fields[0].name"),
+        ([{"name": "u", "values": [True] + GOOD_VALUES[1:]}], "fields[0].values[0]"),
+        ([{"name": "u", "values": GOOD_VALUES[:3] + ["1.5"]}], "fields[0].values[3]"),
+        ([{"name": "u", "values": GOOD_VALUES[:9] + [None]}], "fields[0].values[9]"),
+        (
+            [{"name": "u", "values": GOOD_VALUES}, {"name": "v", "values": [10**400]}],
+            "fields[1].values[0]",
+        ),
+        ([{"name": "u", "values": GOOD_VALUES[1:]}], "fields[0] ('u') has 9 values"),
+    ],
+)
+def test_read_json_rejects_bad_fields(fields, where):
+    doc = json.loads(write_json(generate(2)).decode())
+    doc["fields"] = fields
     with pytest.raises(ValueError, match=re.escape(where)):
         read_json(io.StringIO(json.dumps(doc)))
 
@@ -346,6 +394,12 @@ def test_read_field_count_mismatch_names_expected():
 def test_read_field_rejects_json_non_array():
     with pytest.raises(ValueError):
         read_field(io.StringIO('{"a": 1}'), 1)
+
+
+@pytest.mark.parametrize("text", ["[[1]]", "[null, 1, 2, 3]", "[true, 1, 2, 3]", '[0, 1, "2", 3]'])
+def test_read_field_rejects_json_non_numbers(text):
+    with pytest.raises(ValueError, match=r"field\[\d\] must be a finite number"):
+        read_field(io.StringIO(text), 1)
 
 
 def test_load_permutation_forms():
