@@ -28,6 +28,7 @@ from .connectivity import (
 )
 from .io import (
     PhysicalEmbedding,
+    _deliver,
     apply_ordering_permutation,
     load_permutation,
     read_field,
@@ -150,15 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(path: str, data: bytes) -> None:
-    if path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as handle:
-            handle.write(data)
-
-
 def _parse_embedding(values: list[float] | None) -> PhysicalEmbedding | None:
     if values is None:
         return None
@@ -184,7 +176,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if fields or embedding is not None:
             raise ValueError("--format off accepts neither fields nor an embedding")
         data = write_off_boundary(mesh)
-    _write_out(args.out, data)
+    if args.out == "-":
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    else:
+        _deliver(args.out, data)
     return EXIT_OK
 
 

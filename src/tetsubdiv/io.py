@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Any, Sequence, Union
@@ -114,13 +116,28 @@ def _check_fields(mesh: SubdivisionMesh, fields: Sequence[FieldData]) -> None:
 
 
 def _deliver(destination: Destination, data: bytes) -> bytes:
+    """Write ``data`` to a path or writable object and return it.
+
+    This is the one place a path is opened for writing.  An existing file
+    is overwritten in place, not truncated to zero first: on ext4 a
+    truncate-to-zero makes the next close start a writeback, which the
+    next truncate of the same file then waits for.  Writing over the old
+    bytes and truncating a regular file to the new length afterwards
+    keeps the inode, its mode, hard links and symlink targets.  The write
+    is not atomic: if it is interrupted, old bytes can remain past the
+    new end.
+    """
     if destination is None:
         return data
     if hasattr(destination, "write"):
         destination.write(data)
         return data
-    with open(destination, "wb") as handle:
+    fd = os.open(destination, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as handle:
         handle.write(data)
+        # devices and FIFOs cannot be truncated
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate(len(data))
     return data
 
 
@@ -174,6 +191,32 @@ def write_vtk_legacy(
     return _deliver(destination, data)
 
 
+# The items of the nodes and tets arrays as json.dumps(doc, indent=2) writes
+# them, each followed by a comma that _close_json_array drops from the last.
+_JSON_NODE = (
+    '\n    {{\n      "i": {},\n      "j": {},\n      "k": {},'
+    '\n      "x": {},\n      "y": {},\n      "z": {}\n    }},'
+)
+_JSON_TET = (
+    '\n    {{\n      "nodes": [\n        {},\n        {},\n        {},\n        {}\n      ],'
+    '\n      "kind": {},\n      "level": {}{}\n    }},'
+)
+_JSON_FILL_SLOT = ',\n      "fill_slot": {}'
+_KIND_JSON = {kind: json.dumps(kind) for kind in KINDS}
+
+
+def _close_json_array(pieces: list[str], tail: str) -> None:
+    """End the top-level array whose items were just appended to ``pieces``.
+
+    The piece before the first item ends with ``[``; each item ends with a
+    comma.  ``tail`` follows the closing bracket.
+    """
+    if pieces[-1].endswith(","):
+        pieces[-1] = pieces[-1][:-1] + "\n  ]" + tail
+    else:
+        pieces.append("]" + tail)
+
+
 def write_json(
     mesh: SubdivisionMesh,
     destination: Destination = None,
@@ -181,32 +224,77 @@ def write_json(
 ) -> bytes:
     """Serialize the mesh (and optional fields) as a JSON document.
 
-    The document round-trips losslessly through :func:`read_json`.
+    The document round-trips losslessly through :func:`read_json`.  Its
+    bytes are those of ``json.dumps(doc, indent=2)`` plus a newline, where
+    ``doc`` holds ``format_version``, ``order``, ``orientation_policy``,
+    ``nodes`` (objects with keys i, j, k, x, y, z), ``tets`` (objects with
+    keys nodes, kind, level and, when it is not None, fill_slot) and, when
+    there are fields, ``fields`` (objects with keys name and values).
+    Nodes and tets are formatted from templates, because ``indent`` makes
+    ``json.dumps`` fall back to its pure-Python encoder.
     """
     fields = list(fields or ())
     _check_fields(mesh, fields)
-    doc: dict[str, Any] = {
-        "format_version": JSON_FORMAT_VERSION,
-        "order": mesh.order,
-        "orientation_policy": mesh.orientation_policy,
-        "nodes": [
-            {"i": n.i, "j": n.j, "k": n.k, "x": c[0], "y": c[1], "z": c[2]}
-            for n, c in zip(mesh.nodes, mesh.coords)
-        ],
-        "tets": [
-            {
-                "nodes": list(t.nodes),
-                "kind": t.kind,
-                "level": t.level,
-                **({"fill_slot": t.fill_slot} if t.fill_slot is not None else {}),
-            }
-            for t in mesh.tets
-        ],
-    }
+    # one flat list, joined once: joining each section apart costs more memory
+    pieces = [
+        f'{{\n  "format_version": {JSON_FORMAT_VERSION},\n  "order": {mesh.order},\n'
+        f'  "orientation_policy": {json.dumps(mesh.orientation_policy)},\n  "nodes": ['
+    ]
+    node = _JSON_NODE.format
+    pieces += [node(*n, *c) for n, c in zip(mesh.nodes, mesh.coords)]
+    _close_json_array(pieces, ',\n  "tets": [')
+    tet = _JSON_TET.format
+    kind_json = _KIND_JSON.get
+    pieces += [
+        tet(
+            *t.nodes,
+            kind_json(t.kind) or json.dumps(t.kind),
+            t.level,
+            "" if t.fill_slot is None else _JSON_FILL_SLOT.format(t.fill_slot),
+        )
+        for t in mesh.tets
+    ]
     if fields:
-        doc["fields"] = [{"name": f.name, "values": list(f.values)} for f in fields]
-    data = (json.dumps(doc, indent=2) + "\n").encode("ascii")
+        shifted = json.dumps(
+            [{"name": f.name, "values": list(f.values)} for f in fields], indent=2
+        ).replace("\n", "\n  ")
+        _close_json_array(pieces, f',\n  "fields": {shifted}\n}}\n')
+    else:
+        _close_json_array(pieces, "\n}\n")
+    data = "".join(pieces).encode("ascii")
     return _deliver(destination, data)
+
+
+def _loads(text: str) -> Any:
+    """``json.loads``, refusing a document too deeply nested to parse with a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
+# Plain ASCII decimal tokens: (pattern, conversion, description).  float()
+# and int() alone also take '1_0', non-ASCII digits and words such as 'inf'.
+_DECIMAL = (
+    re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+    float,
+    "a plain decimal number",
+)
+_INTEGER = (re.compile(r"[+-]?[0-9]+"), int, "a plain decimal integer")
+
+
+def _tokens(text: str, token_type: tuple, where: str) -> list:
+    """The whitespace-separated tokens of ``text``, converted by ``token_type``.
+
+    A token that does not match raises a ``ValueError`` naming its position
+    as ``where[pos]``.
+    """
+    pattern, convert, description = token_type
+    tokens = text.split()
+    for pos, token in enumerate(tokens):
+        if pattern.fullmatch(token) is None:
+            raise ValueError(f"{where}[{pos}] must be {description}, got {token!r:.40}")
+    return [convert(token) for token in tokens]
 
 
 def _strict_int(value: Any, section: str, pos: int, key: str) -> int:
@@ -248,7 +336,7 @@ def read_json(source: Source) -> tuple[SubdivisionMesh, list[FieldData]]:
     order must be >= 1, and each field needs a name and one finite number
     per node; the error names the offending position.
     """
-    doc = json.loads(_read_text(source))
+    doc = _loads(_read_text(source))
     if not isinstance(doc, dict):
         raise ValueError("mesh document must be a JSON object")
     version = doc.get("format_version")
@@ -269,6 +357,12 @@ def read_json(source: Source) -> tuple[SubdivisionMesh, list[FieldData]]:
             raise ValueError(f"{key} must be a JSON array, got {value!r:.40}")
     if policy not in ORIENTATION_POLICIES:
         raise ValueError(f"unknown orientation policy {policy!r}")
+    # bounds the order, and so every check's work, by the document's size
+    if len(raw_nodes) != node_count(order):
+        raise ValueError(
+            f"nodes has {len(raw_nodes)} entries, expected {node_count(order)} "
+            f"for order {order}"
+        )
     nodes = []
     coords = []
     for pos, n in enumerate(raw_nodes):
@@ -344,8 +438,10 @@ def write_off_boundary(mesh: SubdivisionMesh, destination: Destination = None) -
 def read_field(source: Source, order: int, name: str | None = None) -> FieldData:
     """Read a nodal field: a JSON array of numbers or whitespace-separated decimals.
 
-    The value count must equal ``node_count(order)``; the mismatch error
-    names the expected count.  Anything else raises ``ValueError``.
+    Decimal tokens must be plain ASCII, such as ``-1.5e3`` or ``.5``.  The
+    value count must equal ``node_count(order)``; the mismatch error names
+    the expected count.  Anything else raises ``ValueError``, naming the
+    position of a bad value as ``field[pos]``.
     """
     text = _read_text(source).strip()
     if name is None:
@@ -354,9 +450,9 @@ def read_field(source: Source, order: int, name: str | None = None) -> FieldData
         else:
             name = os.path.splitext(os.path.basename(os.fspath(source)))[0] or "field"
     if text.startswith("["):
-        values = _field_values(json.loads(text), "field")
+        values = _field_values(_loads(text), "field")
     else:
-        values = tuple(float(tok) for tok in text.split())
+        values = _field_values(_tokens(text, _DECIMAL, "field"), "field")
     expected = node_count(order)
     if len(values) != expected:
         raise ValueError(
@@ -366,16 +462,20 @@ def read_field(source: Source, order: int, name: str | None = None) -> FieldData
 
 
 def load_permutation(source: Source) -> list[int]:
-    """Read a node-ordering permutation table: JSON array or whitespace ints."""
+    """Read a node-ordering permutation table: JSON array or whitespace ints.
+
+    Whitespace tokens must be plain ASCII decimal integers; a bad token
+    raises ``ValueError`` naming it as ``permutation[pos]``.
+    """
     text = _read_text(source).strip()
     if text.startswith("["):
-        raw = json.loads(text)
+        raw = _loads(text)
         if not isinstance(raw, list) or any(
             isinstance(v, bool) or not isinstance(v, int) for v in raw
         ):
             raise ValueError("permutation table must be a JSON array of integers")
         return list(raw)
-    return [int(tok) for tok in text.split()]
+    return _tokens(text, _INTEGER, "permutation")
 
 
 def _check_permutation(table: Sequence[int], n: int) -> None:

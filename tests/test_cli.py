@@ -29,6 +29,25 @@ def test_gen_json_and_off(tmp_path):
     assert oout.read_bytes() == write_off_boundary(generate(2))
 
 
+def test_gen_overwrite_equals_a_fresh_write(tmp_path):
+    fresh = tmp_path / "fresh.json"
+    assert run(["gen", "--order", "3", "--format", "json", "--out", str(fresh)]) == EXIT_OK
+    out = tmp_path / "m.json"
+    assert run(["gen", "--order", "6", "--format", "json", "--out", str(out)]) == EXIT_OK
+    assert run(["gen", "--order", "3", "--format", "json", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_gen_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.vtk"
+    target.write_bytes(b"old bytes " * 1000)
+    link = tmp_path / "link.vtk"
+    link.symlink_to(target)
+    assert run(["gen", "--order", "2", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == write_vtk_legacy(generate(2))
+
+
 def test_gen_to_stdout(capfdbinary):
     assert run(["gen", "--order", "1", "--out", "-"]) == EXIT_OK
     captured = capfdbinary.readouterr()
@@ -114,6 +133,13 @@ def test_validate_detects_corrupted_file(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_validate_deeply_nested_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["validate", "--in", str(path)]) == EXIT_USAGE
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_validate_requires_exactly_one_source():
     assert run(["validate"]) == EXIT_USAGE
     assert run(["validate", "--order", "2", "--in", "x.json"]) == EXIT_USAGE
@@ -188,6 +214,13 @@ def test_gen_rejects_non_number_field_values(tmp_path, capsys, text):
     fpath.write_text(text)
     assert run(["gen", "--order", "1", "--field", str(fpath), "--out", "-"]) == EXIT_USAGE
     assert "field[0] must be a finite number" in capsys.readouterr().err
+
+
+def test_gen_rejects_a_field_token_that_is_not_a_plain_decimal(tmp_path, capsys):
+    fpath = tmp_path / "f.txt"
+    fpath.write_text("0 1 2_0 3")
+    assert run(["gen", "--order", "1", "--field", str(fpath), "--out", "-"]) == EXIT_USAGE
+    assert "field[2] must be a plain decimal number" in capsys.readouterr().err
 
 
 def test_resample_writes_vtk_with_point_data(tmp_path):

@@ -4,13 +4,16 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
 import re
+import stat
+import threading
 
 import pytest
 
 from _meshes import replace_tets, without_chunks
-from tetsubdiv.connectivity import AS_GENERATED, generate
+from tetsubdiv.connectivity import AS_GENERATED, POSITIVE, SubTet, generate
 from tetsubdiv.io import (
     FieldData,
     PhysicalEmbedding,
@@ -186,6 +189,45 @@ def test_vtk_writes_to_path_and_handle(tmp_path):
     assert sink.getvalue() == data
 
 
+def test_overwrite_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "mesh.json"
+    write_json(generate(4), path)
+    inode = path.stat().st_ino
+    data = write_json(generate(1), path)
+    assert path.read_bytes() == data
+    assert path.stat().st_ino == inode
+
+
+def test_overwrite_keeps_the_file_mode_and_hard_links(tmp_path):
+    path = tmp_path / "mesh.vtk"
+    path.write_bytes(b"old bytes " * 1000)
+    path.chmod(0o600)
+    linked = tmp_path / "linked.vtk"
+    os.link(path, linked)
+    data = write_vtk_legacy(generate(2), path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_bytes() == linked.read_bytes() == data
+
+
+def test_writes_to_the_null_device():
+    mesh = generate(2)
+    assert write_off_boundary(mesh, os.devnull) == write_off_boundary(mesh)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_writes_to_a_fifo(tmp_path):
+    # a FIFO cannot be truncated, unlike a regular file or the null device
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    data = write_off_boundary(generate(2), fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [data]
+
+
 def test_json_round_trip_identity():
     for n in (1, 3, 5):
         mesh = generate(n)
@@ -217,6 +259,58 @@ def test_json_file_round_trip(tmp_path):
     write_json(mesh, path)
     again, _ = read_json(path)
     assert again == mesh
+
+
+def _json_dumps_oracle(mesh, fields=()):
+    """The document write_json encoded before it formatted nodes and tets itself."""
+    doc = {
+        "format_version": 1,
+        "order": mesh.order,
+        "orientation_policy": mesh.orientation_policy,
+        "nodes": [
+            {"i": n.i, "j": n.j, "k": n.k, "x": c[0], "y": c[1], "z": c[2]}
+            for n, c in zip(mesh.nodes, mesh.coords)
+        ],
+        "tets": [
+            {
+                "nodes": list(t.nodes),
+                "kind": t.kind,
+                "level": t.level,
+                **({"fill_slot": t.fill_slot} if t.fill_slot is not None else {}),
+            }
+            for t in mesh.tets
+        ],
+    }
+    if fields:
+        doc["fields"] = [{"name": f.name, "values": list(f.values)} for f in fields]
+    return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+@pytest.mark.parametrize("policy", [POSITIVE, AS_GENERATED])
+def test_write_json_equals_json_dumps(order, policy):
+    rng = random.Random(f"{order}:{policy}")
+    mesh = generate(order, policy)
+    table = list(range(len(mesh.nodes)))
+    rng.shuffle(table)
+    values = [rng.uniform(-1.0, 1.0) for _ in mesh.nodes]
+    values[:4] = [-0.0, 5e-324, 1e307, 3]  # an int value stays an int
+    fields = [
+        FieldData("température 温度", tuple(values)),
+        FieldData("u", tuple(range(len(mesh.nodes)))),
+    ]
+    # 0 is a real fill slot; a kind outside KINDS is still escaped as JSON
+    odd = SubTet((0, 0, 0, 0), "w\u00e9ird \"kind\"", 1, 0)
+    meshes = [
+        mesh,
+        apply_ordering_permutation(mesh, table),
+        replace_tets(mesh, mesh.tets[:1]),
+        replace_tets(mesh, ()),
+        replace_tets(mesh, (odd,) + mesh.tets[1:]),
+    ]
+    for variant in meshes:
+        for given in ((), fields[:1], fields):
+            assert write_json(variant, fields=given) == _json_dumps_oracle(variant, given)
 
 
 def test_read_json_error_positions():
@@ -409,6 +503,58 @@ def test_load_permutation_forms():
         load_permutation(io.StringIO("[true, false]"))
     with pytest.raises(ValueError):
         load_permutation(io.StringIO("[1.5]"))
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("0 1_0 2 3", "field[1]"),
+        ("0 1 2 abc", "field[3]"),
+        ("0 \u0661 2 3", "field[1]"),  # ARABIC-INDIC DIGIT ONE
+        ("0 1 nan 3", "field[2]"),
+        ("0x1 1 2 3", "field[0]"),
+    ],
+)
+def test_read_field_accepts_only_plain_decimal_tokens(text, where):
+    with pytest.raises(ValueError, match=re.escape(where) + " must be a plain decimal number"):
+        read_field(io.StringIO(text), 1)
+
+
+def test_read_field_plain_decimal_forms():
+    field = read_field(io.StringIO("-1.5e3 .5 5. +2E-1"), 1)
+    assert field.values == (-1500.0, 0.5, 5.0, 0.2)
+    with pytest.raises(ValueError, match=r"field\[1\] must be a finite number"):
+        read_field(io.StringIO("0 1e999 2 3"), 1)
+
+
+@pytest.mark.parametrize(
+    "text, where", [("0 1_0 2", "permutation[1]"), ("0 1 2.0", "permutation[2]")]
+)
+def test_load_permutation_accepts_only_plain_decimal_tokens(text, where):
+    with pytest.raises(ValueError, match=re.escape(where) + " must be a plain decimal integer"):
+        load_permutation(io.StringIO(text))
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "read",
+    [read_json, lambda source: read_field(source, 1), load_permutation],
+    ids=["read_json", "read_field", "load_permutation"],
+)
+def test_deeply_nested_json_is_a_value_error(read):
+    with pytest.raises(ValueError, match="nested too deeply"):
+        read(io.StringIO(DEEP))
+
+
+@pytest.mark.parametrize("order", [1, 3, 10_000])
+def test_read_json_refuses_a_node_count_other_than_the_orders(order):
+    # an order-2 body: 10 nodes
+    doc = json.loads(write_json(generate(2)).decode())
+    doc["order"] = order
+    with pytest.raises(ValueError, match=f"nodes has 10 entries, expected {node_count(order)}"):
+        read_json(io.StringIO(json.dumps(doc)))
 
 
 def test_apply_permutation_to_field():
