@@ -28,7 +28,6 @@ from .connectivity import (
 )
 from .io import (
     PhysicalEmbedding,
-    _deliver,
     apply_ordering_permutation,
     load_permutation,
     read_field,
@@ -166,21 +165,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         table = load_permutation(args.permutation)
         mesh = apply_ordering_permutation(mesh, table)
         fields = [apply_ordering_permutation(f, table) for f in fields]
+    out = sys.stdout.buffer if args.out == "-" else args.out
     if args.format == "vtk":
-        data = write_vtk_legacy(mesh, fields=fields, embedding=embedding)
+        write_vtk_legacy(mesh, out, fields=fields, embedding=embedding)
     elif args.format == "json":
         if embedding is not None:
             raise ValueError("--embedding applies only to --format vtk")
-        data = write_json(mesh, fields=fields)
+        write_json(mesh, out, fields=fields)
     else:
         if fields or embedding is not None:
             raise ValueError("--format off accepts neither fields nor an embedding")
-        data = write_off_boundary(mesh)
+        write_off_boundary(mesh, out)
     if args.out == "-":
-        sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    else:
-        _deliver(args.out, data)
     return EXIT_OK
 
 

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import re
-import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Any, Sequence, Union
@@ -118,26 +117,15 @@ def _check_fields(mesh: SubdivisionMesh, fields: Sequence[FieldData]) -> None:
 def _deliver(destination: Destination, data: bytes) -> bytes:
     """Write ``data`` to a path or writable object and return it.
 
-    This is the one place a path is opened for writing.  An existing file
-    is overwritten in place, not truncated to zero first: on ext4 a
-    truncate-to-zero makes the next close start a writeback, which the
-    next truncate of the same file then waits for.  Writing over the old
-    bytes and truncating a regular file to the new length afterwards
-    keeps the inode, its mode, hard links and symlink targets.  The write
-    is not atomic: if it is interrupted, old bytes can remain past the
-    new end.
+    This is the one place a path is opened for writing.
     """
     if destination is None:
         return data
     if hasattr(destination, "write"):
         destination.write(data)
         return data
-    fd = os.open(destination, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as handle:
+    with open(destination, "wb") as handle:
         handle.write(data)
-        # devices and FIFOs cannot be truncated
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            handle.truncate(len(data))
     return data
 
 

@@ -216,7 +216,6 @@ def test_writes_to_the_null_device():
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_writes_to_a_fifo(tmp_path):
-    # a FIFO cannot be truncated, unlike a regular file or the null device
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     received = []
