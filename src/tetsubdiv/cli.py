@@ -126,13 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="containment sample count (default: 10000)",
     )
     val.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
-    val.add_argument(
-        "--pairwise-limit",
-        type=int,
-        default=3,
-        help="run the exhaustive pairwise check only for order <= LIMIT "
-        "(default: 3)",
-    )
     val.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     info = sub.add_parser("info", help="print node/tet counts for an order")
@@ -186,12 +179,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         mesh, _ = read_json(args.infile)
     else:
         mesh = generate(args.order, args.orientation)
-    report = validate(
-        mesh,
-        samples=args.samples,
-        seed=args.seed,
-        pairwise_limit=args.pairwise_limit,
-    )
+    report = validate(mesh, samples=args.samples, seed=args.seed)
     print(report.to_json() if args.json else report.to_text())
     return EXIT_OK if report.passed else EXIT_VALIDATION
 

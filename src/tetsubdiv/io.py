@@ -452,17 +452,17 @@ def read_field(source: Source, order: int, name: str | None = None) -> FieldData
 def load_permutation(source: Source) -> list[int]:
     """Read a node-ordering permutation table: JSON array or whitespace ints.
 
-    Whitespace tokens must be plain ASCII decimal integers; a bad token
-    raises ``ValueError`` naming it as ``permutation[pos]``.
+    JSON entries must be integers and whitespace tokens plain ASCII decimal
+    integers; a bad entry raises ``ValueError`` naming it as
+    ``permutation[pos]``.
     """
     text = _read_text(source).strip()
     if text.startswith("["):
-        raw = _loads(text)
-        if not isinstance(raw, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in raw
-        ):
-            raise ValueError("permutation table must be a JSON array of integers")
-        return list(raw)
+        raw = _loads(text)  # a JSON text that starts with "[" is an array
+        for pos, v in enumerate(raw):
+            if type(v) is not int:  # bool is a subclass of int
+                raise ValueError(f"permutation[{pos}] must be an integer, got {v!r:.40}")
+        return raw
     return _tokens(text, _INTEGER, "permutation")
 
 

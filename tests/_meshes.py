@@ -1,5 +1,7 @@
 """Shared builders for corrupted and partial meshes used across test modules."""
 
+import dataclasses
+
 from tetsubdiv.connectivity import (
     AS_GENERATED,
     SubdivisionMesh,
@@ -36,3 +38,20 @@ def with_moved_node(mesh, node, axis, delta):
     return SubdivisionMesh(
         mesh.order, mesh.nodes, coords, mesh.tets, mesh.orientation_policy
     )
+
+
+def with_doubled(mesh, tet):
+    """Same mesh with ``tet`` appended once more."""
+    return replace_tets(mesh, mesh.tets + (tet,))
+
+
+def with_repeated_node(mesh, at):
+    """Tet ``at`` squashed to nodes (a, a, c, d).
+
+    In (a, a, c, d) sides 0 and 1 have opposite signs and sides 2 and 3 are
+    zero everywhere: tested in order, a point is outside; a sampler that
+    looked for zeros first would redraw it.
+    """
+    a, _, c, d = mesh.tets[at].nodes
+    squashed = dataclasses.replace(mesh.tets[at], nodes=(a, a, c, d))
+    return replace_tets(mesh, mesh.tets[:at] + (squashed,) + mesh.tets[at + 1 :])

@@ -16,6 +16,7 @@ from itertools import combinations
 from pathlib import Path
 
 from _meshes import replace_tets, without_chunks
+from _oracle import all_pairs_disjoint
 from tetsubdiv.connectivity import AS_GENERATED, CHUNK, SubTet, chunk_tets, generate
 from tetsubdiv.io import FieldData, read_json, write_json, write_vtk_legacy
 from tetsubdiv.validation import (
@@ -167,7 +168,7 @@ def test_criterion_5_disjoint_interiors():
     with reported(label):
         t0 = time.perf_counter()
         for n in (1, 2, 3):
-            result = check_pairwise_disjoint(generate(n))
+            result = all_pairs_disjoint(generate(n))
             assert result.passed
             assert result.details["intersecting_pairs"] == []
             assert result.details["pairs"] == n**3 * (n**3 - 1) // 2

@@ -117,6 +117,12 @@ def test_validate_json_output(capsys):
     assert len(doc["checks"]) == 7
 
 
+def test_validate_pairwise_limit_is_removed(capsys):
+    argv = ["validate", "--order", "2", "--pairwise-limit", "3"]
+    assert run(argv) == EXIT_USAGE
+    assert "--pairwise-limit" in capsys.readouterr().err
+
+
 def test_validate_json_mesh_file(tmp_path, capsys):
     path = tmp_path / "mesh.json"
     write_json(generate(2), path)

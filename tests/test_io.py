@@ -534,6 +534,15 @@ def test_load_permutation_accepts_only_plain_decimal_tokens(text, where):
         load_permutation(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [("[0, 1.5, 2]", "permutation[1]"), ("[true, 0]", "permutation[0]"), ('[0, 1, "2"]', "permutation[2]")],
+)
+def test_load_permutation_names_a_bad_json_entry(text, where):
+    with pytest.raises(ValueError, match=re.escape(where) + " must be an integer"):
+        load_permutation(io.StringIO(text))
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 
 

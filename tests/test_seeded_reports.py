@@ -11,34 +11,18 @@ Regenerate them with ``PYTHONPATH=src python tests/test_seeded_reports.py``
 only when a report is meant to change, and say why in the change log.
 """
 
-import dataclasses
 import pathlib
 import random
 import sys
 
 import pytest
 
-from _meshes import replace_tets, with_moved_node, without_chunks
+from _meshes import with_doubled, with_moved_node, with_repeated_node, without_chunks
 from tetsubdiv.connectivity import AS_GENERATED, generate
 from tetsubdiv.validation import _SAMPLE_DENOMINATOR, _element_points, validate
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "reports"
 SAMPLES = 2000
-
-
-def _doubled_tet(order):
-    mesh = generate(order)
-    return replace_tets(mesh, mesh.tets + (mesh.tets[-1],))
-
-
-def _repeated_node(order, at):
-    # In (a, a, c, d) sides 0 and 1 have opposite signs and sides 2 and 3 are
-    # zero everywhere: tested in order, a point is outside; a sampler that
-    # looked for zeros first would redraw it.  This pins the side order.
-    mesh = generate(order)
-    a, _, c, d = mesh.tets[at].nodes
-    squashed = dataclasses.replace(mesh.tets[at], nodes=(a, a, c, d))
-    return replace_tets(mesh, mesh.tets[:at] + (squashed,) + mesh.tets[at + 1 :])
 
 
 # name -> (mesh builder, sampling seed)
@@ -50,8 +34,9 @@ CASES = {
     "order8": (lambda: generate(8), 8),
     "order3-as-generated": (lambda: generate(3, AS_GENERATED), 5),
     "gap-without-chunks3": (lambda: without_chunks(3), 0),
-    "overlap-doubled-tet3": (lambda: _doubled_tet(3), 0),
-    "side-order-repeated-node3": (lambda: _repeated_node(3, 5), 0),
+    "overlap-doubled-tet3": (lambda: with_doubled(generate(3), generate(3).tets[-1]), 0),
+    # the repeated-node result depends on the side-test order, so it pins it
+    "side-order-repeated-node3": (lambda: with_repeated_node(generate(3), 5), 0),
     "redraw-moved-node2": (lambda: with_moved_node(generate(2), 7, 1, 1), 0),
 }
 

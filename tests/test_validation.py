@@ -1,13 +1,29 @@
 """Exact validation checks: pass on honest meshes, fail on corrupted ones."""
 
+import dataclasses
 import io
 import json
 import random
+from itertools import combinations
 
 import pytest
 
-from _meshes import replace_tets, with_moved_node, without_chunks
-from tetsubdiv.connectivity import AS_GENERATED, SubTet, SubdivisionMesh, generate
+from _meshes import (
+    replace_tets,
+    with_doubled,
+    with_moved_node,
+    with_repeated_node,
+    without_chunks,
+)
+from _oracle import all_pairs_disjoint
+from tetsubdiv.connectivity import (
+    AS_GENERATED,
+    CHUNK,
+    POSITIVE,
+    SubTet,
+    SubdivisionMesh,
+    generate,
+)
 from tetsubdiv.io import read_json, write_json
 from tetsubdiv.lattice import enumerate_nodes, node_coords, tet_volume6
 from tetsubdiv.validation import (
@@ -269,18 +285,51 @@ def test_side_planes_match_the_scaled_determinants():
 
 
 def test_pairwise_disjoint_good_meshes():
-    for n in (1, 2, 3):
-        result = check_pairwise_disjoint(generate(n))
-        assert result.passed
-        assert result.details["pairs"] == n**3 * (n**3 - 1) // 2
+    for policy in (POSITIVE, AS_GENERATED):
+        for n in range(1, 9):
+            result = check_pairwise_disjoint(generate(n, policy))
+            assert result.passed, result.summary
+            assert result.details["pairs"] == 2 * n**3 - 2 * n**2
+            assert result.details["folded"] == 0
+
+
+def _with_doubled_chunk(mesh):
+    return with_doubled(mesh, next(t for t in mesh.tets if t.kind == CHUNK))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: with_doubled(generate(3), generate(3).tets[0]),
+        lambda: _with_doubled_chunk(generate(3)),
+        lambda: with_moved_node(generate(2), 7, 1, 1),
+        lambda: with_repeated_node(generate(3), 5),
+    ],
+    ids=["doubled-corner-tet", "doubled-chunk", "moved-node", "repeated-node"],
+)
+def test_pairwise_certificate_trips_on_folds(build):
+    result = check_pairwise_disjoint(build())
+    assert not result.passed
+    assert result.details["folded"] > 0
+    assert result.details["folded_faces"]
+
+
+def test_pairwise_certificate_names_overshared_faces():
+    mesh = generate(3)
+    doubled = _with_doubled_chunk(mesh)
+    overshared = {face for face, _ in check_face_pairing(doubled).details["overshared_faces"]}
+    result = check_pairwise_disjoint(doubled)
+    assert set(result.details["folded_faces"]) == overshared
+    assert result.details["pairs"] == 2 * 27 - 2 * 9 - 4
 
 
 def test_pairwise_detects_duplicate():
     mesh = generate(2)
-    doubled = replace_tets(mesh, mesh.tets + (mesh.tets[3],))
-    result = check_pairwise_disjoint(doubled)
+    doubled = with_doubled(mesh, mesh.tets[3])
+    result = all_pairs_disjoint(doubled)
     assert not result.passed
     assert (3, 8) in result.details["intersecting_pairs"]
+    assert not check_pairwise_disjoint(doubled).passed
 
 
 def test_pairwise_detects_partial_overlap():
@@ -291,28 +340,75 @@ def test_pairwise_detects_partial_overlap():
     # (0,0,0)-(2,0,0)-(0,2,0)-(0,0,2) and (0,0,0)-(1,0,0)-(0,1,0)-(0,0,1) nest
     big = SubTet((4, 6, 9, 0), "upright", 1)
     small = SubTet((4, 5, 7, 1), "upright", 1)
-    result = check_pairwise_disjoint(
-        SubdivisionMesh(2, nodes, coords, (big, small), AS_GENERATED)
-    )
-    assert not result.passed
+    nested = SubdivisionMesh(2, nodes, coords, (big, small), AS_GENERATED)
+    assert not all_pairs_disjoint(nested).passed
+    # the two tets share no face, so the local certificate alone passes; the
+    # proof is the conjunction of the checks, and that fails
+    assert check_pairwise_disjoint(nested).passed
+    assert not validate(nested, samples=50).passed
 
 
 def test_pairwise_skips_degenerate_tets():
     mesh = generate(2)
     flat = SubTet((0, 1, 2, 2), "upright", 1)
-    result = check_pairwise_disjoint(replace_tets(mesh, mesh.tets + (flat,)))
+    result = all_pairs_disjoint(replace_tets(mesh, mesh.tets + (flat,)))
     assert result.passed
     assert result.details["degenerate_skipped"] == 1
 
 
-def test_validate_gates_pairwise_by_order():
-    report = validate(generate(4), samples=50, seed=0, pairwise_limit=3)
+@pytest.mark.parametrize("n", [4, 8])
+def test_validate_runs_every_check_at_every_order(n):
+    report = validate(generate(n), samples=50, seed=0)
+    assert len(report.checks) == 7
+    assert not any("skipped" in c.details for c in report.checks)
     last = report.checks[-1]
     assert last.name == "pairwise-disjoint"
     assert last.passed
-    assert last.details.get("skipped") is True
+    assert last.details["pairs"] == 2 * n**3 - 2 * n**2
 
-    report = validate(generate(4), samples=50, seed=0, pairwise_limit=4)
-    last = report.checks[-1]
-    assert last.details.get("skipped") is None
-    assert last.details["pairs"] == 64 * 63 // 2
+
+def _random_lattice_tet(rng, tet, nodes, unit):
+    """Random nodes: any 4, a unit-volume lattice tet, or ``tet`` with one node moved."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        q = rng.sample(nodes, 4)
+    elif kind == 1:
+        q = list(rng.choice(unit))
+    else:
+        q = list(tet.nodes)
+        q[rng.randrange(4)] = rng.choice(nodes)
+    rng.shuffle(q)
+    return dataclasses.replace(tet, nodes=tuple(q))
+
+
+def test_exact_checks_imply_no_overlap():
+    # On small meshes with one or two tets replaced by random lattice tets,
+    # wherever every exact check passes, the all-pairs oracle finds no overlap.
+    rng = random.Random(7)
+    all_passed = 0
+    for order in (1, 2, 3):
+        for policy in (POSITIVE, AS_GENERATED):
+            mesh = generate(order, policy)
+            nodes = range(len(mesh.nodes))
+            unit = [
+                q for q in combinations(nodes, 4)
+                if abs(tet_volume6(*(mesh.coords[v] for v in q))) == 1
+            ]
+            for _ in range(300):
+                tets = list(mesh.tets)
+                for at in rng.sample(range(len(tets)), min(rng.randint(1, 2), len(tets))):
+                    tets[at] = _random_lattice_tet(rng, tets[at], nodes, unit)
+                mutant = replace_tets(mesh, tets)
+                incidence = build_face_incidence(mutant)
+                exact = (
+                    check_volumes(mutant),
+                    check_face_pairing(mutant, incidence),
+                    check_boundary_congruence(mutant, incidence),
+                    check_counts(mutant),
+                    check_euler_characteristic(mutant, incidence),
+                    check_pairwise_disjoint(mutant, incidence),
+                )
+                if all(c.passed for c in exact):
+                    assert all_pairs_disjoint(mutant).passed, [t.nodes for t in tets]
+                    all_passed += order > 1
+    assert all_passed > 0  # the implication was exercised beyond order 1
