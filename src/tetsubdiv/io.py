@@ -147,12 +147,21 @@ def write_vtk_legacy(
 
     Points are ``mesh.coords``, or their affine image under ``embedding``
     when it is given; cells are the N^3 sub-tets as VTK cell type 10; each
-    field becomes a SCALARS block.
+    field becomes a SCALARS block named after the field, with whitespace
+    runs joined by ``_``.  A name that is blank, or not ASCII once joined,
+    raises a ``ValueError`` naming the field as ``fields[pos]``.
     Returns the bytes and, if ``destination`` is a path or writable
     object, also writes them.
     """
     fields = list(fields or ())
     _check_fields(mesh, fields)
+    names = ["_".join(f.name.split()) for f in fields]
+    for pos, (f, name) in enumerate(zip(fields, names)):
+        if not name or not name.isascii():
+            raise ValueError(
+                f"fields[{pos}] ({f.name!r}) cannot name a VTK SCALARS block: "
+                "it needs a non-blank ASCII name"
+            )
     if embedding is None:
         points: Sequence[tuple[float, float, float]] = mesh.coords
     else:
@@ -171,8 +180,8 @@ def write_vtk_legacy(
     lines += ["10"] * len(mesh.tets)
     if fields:
         lines.append(f"POINT_DATA {len(points)}")
-        for f in fields:
-            lines.append(f"SCALARS {'_'.join(f.name.split())} double 1")
+        for f, name in zip(fields, names):
+            lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines += [str(float(v)) for v in f.values]
     data = ("\n".join(lines) + "\n").encode("ascii")
@@ -412,8 +421,7 @@ def write_off_boundary(mesh: SubdivisionMesh, destination: Destination = None) -
     lines = ["OFF", f"{len(used)} {len(faces)} {3 * len(faces) // 2}"]
     lines += ["{} {} {}".format(*mesh.coords[v]) for v in used]
     for face in faces:
-        (tet_idx, local) = incidence[face][0]
-        opposite = mesh.coords[mesh.tets[tet_idx].nodes[local]]
+        opposite = mesh.coords[incidence[face][0]]
         a, b, c = face
         # outward normal: the owning tet's 4th vertex lies on the negative side
         if tet_volume6(mesh.coords[a], mesh.coords[b], mesh.coords[c], opposite) > 0:

@@ -62,10 +62,8 @@ from .lattice import (
 )
 
 FaceKey = tuple[int, int, int]
-FaceIncidence = dict[FaceKey, list[tuple[int, int]]]
-
-# local face f omits local vertex f
-_LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# each face key maps to the node opposite it in each tet sharing it, in tet order
+FaceIncidence = dict[FaceKey, list[int]]
 
 BOUNDARY_PLANES = ("x=0", "y=0", "z=0", "x+y+z=N")
 INTERIOR = "interior"
@@ -135,12 +133,13 @@ def signed_volume6(tet: SubTet | Sequence[int], coords: Sequence[Coords]) -> int
 
 
 def build_face_incidence(mesh: SubdivisionMesh) -> FaceIncidence:
-    """Map each canonical (sorted) face key to its (tet index, local face) incidences."""
+    """Map each canonical (sorted) face key to the node opposite it in each sharing tet."""
     incidence: FaceIncidence = {}
-    for t, tet in enumerate(mesh.tets):
-        for f, (a, b, c) in enumerate(_LOCAL_FACES):
-            key = tuple(sorted((tet.nodes[a], tet.nodes[b], tet.nodes[c])))
-            incidence.setdefault(key, []).append((t, f))
+    for tet in mesh.tets:
+        a, b, c, d = sorted(tet.nodes)
+        # omitting one node of a sorted tuple leaves the other three sorted
+        for key, opposite in (((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)):
+            incidence.setdefault(key, []).append(opposite)
     return incidence
 
 
@@ -560,15 +559,14 @@ def check_pairwise_disjoint(
     """
     incidence = incidence if incidence is not None else build_face_incidence(mesh)
     coords = mesh.coords
-    tets = mesh.tets
     pairs = 0
     folded: list[FaceKey] = []
-    for face, sharing in incidence.items():
-        if len(sharing) == 1:
+    for face, opposite in incidence.items():
+        if len(opposite) == 1:
             continue
-        if len(sharing) == 2:
+        if len(opposite) == 2:
             pairs += 1
-            (t, f), (u, g) = sharing
+            p, q = opposite
             a, b, c = face
             ax, ay, az = coords[a]
             bx, by, bz = coords[b]
@@ -576,8 +574,8 @@ def check_pairwise_disjoint(
             ex, ey, ez = bx - ax, by - ay, bz - az
             fx, fy, fz = cx - ax, cy - ay, cz - az
             nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
-            px, py, pz = coords[tets[t].nodes[f]]  # local face f omits local vertex f
-            qx, qy, qz = coords[tets[u].nodes[g]]
+            px, py, pz = coords[p]
+            qx, qy, qz = coords[q]
             side_p = nx * (px - ax) + ny * (py - ay) + nz * (pz - az)
             side_q = nx * (qx - ax) + ny * (qy - ay) + nz * (qz - az)
             if side_p * side_q < 0:

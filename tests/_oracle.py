@@ -8,8 +8,10 @@ replaced, kept as an oracle for small orders.
 from itertools import combinations
 
 from tetsubdiv.lattice import Coords, tet_volume6
-from tetsubdiv.validation import _LOCAL_FACES, CheckResult
+from tetsubdiv.validation import CheckResult
 
+# local face f omits local vertex f
+_LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _TET_EDGES = tuple(combinations(range(4), 2))
 
 

@@ -229,6 +229,17 @@ def test_gen_rejects_a_field_token_that_is_not_a_plain_decimal(tmp_path, capsys)
     assert "field[2] must be a plain decimal number" in capsys.readouterr().err
 
 
+def test_gen_vtk_names_a_field_whose_name_is_not_ascii(tmp_path, capsys):
+    fpath = tmp_path / "données.txt"
+    fpath.write_text("0 1 2 3")
+    out = tmp_path / "o.vtk"
+    assert run(["gen", "--order", "1", "--field", str(fpath), "--out", str(out)]) == EXIT_USAGE
+    assert "fields[0] ('données')" in capsys.readouterr().err
+    assert not out.exists()
+    argv = ["gen", "--order", "1", "--format", "json", "--field", str(fpath), "--out", "-"]
+    assert run(argv) == EXIT_OK
+
+
 def test_resample_writes_vtk_with_point_data(tmp_path):
     fpath = tmp_path / "vals.txt"
     fpath.write_text("0.5 1.5 2.5 3.5")

@@ -1,6 +1,7 @@
 """Serialization: VTK legacy, JSON round-trip, OFF boundary, fields, permutations."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -143,6 +144,17 @@ def test_vtk_fields_and_name_sanitization():
     assert "SCALARS my_field double 1" in text
     assert "LOOKUP_TABLE default" in text
     assert text.splitlines()[-4:] == ["0.0", "1.5", "2.0", "3.25"]
+
+
+@pytest.mark.parametrize("name", ["données", " ", "\t\n"])
+def test_vtk_refuses_a_field_name_it_cannot_write(name):
+    mesh = generate(1)
+    good = FieldData("u", (0.0, 1.0, 2.0, 3.0))
+    bad = FieldData(name, good.values)
+    with pytest.raises(ValueError, match=r"fields\[1\] \(" + re.escape(repr(name))):
+        write_vtk_legacy(mesh, fields=[good, bad])
+    # JSON escapes any name
+    assert read_json(io.BytesIO(write_json(mesh, fields=[good, bad])))[1][1] == bad
 
 
 def test_vtk_embedding_replaces_points():
@@ -449,6 +461,27 @@ def test_off_faces_are_outward_oriented():
             )
         assert len(lines) == 2 + nv + nf
         assert total == n**3
+
+
+# SHA-256 of write_off_boundary(generate(n, policy)), recorded before the face
+# table stored opposite nodes; both policies give the same outward surface
+OFF_DIGESTS = {
+    1: "5a84e6f11589e6f4d64f2a5407b6754659418b103edc9cbe4d79ef85cf03cf42",
+    2: "d08cefe7eb109ce303c9e03d39df2cd227c6687db6cc79f5957cbbdd1b3b10ca",
+    3: "39f4304eb52e4f9a09f85561d396611506eb99e5ab656736a6fb1415ed4a83bc",
+    4: "544ffcd65cd8ef11543ce62a8e6d1ffd78468d0560ac6d1e743c4782e825375f",
+    5: "ca914d22538ab7ed19752dde80148260c37944c47b68719cc2f6e78e683cc2f3",
+    6: "f883de8038dd42b1710b07d73676cbda1805c0a83132186b93860386f735e0c7",
+    7: "7da96899fbcbd13741f7cc09e0f0c7a33a5dff7f646f818bed22bb92c8b453e0",
+    8: "00d7c7d17d5b94f083da1f51a131c7baaf9e820448a0508e385e314c1f398242",
+}
+
+
+@pytest.mark.parametrize("order", sorted(OFF_DIGESTS))
+@pytest.mark.parametrize("policy", [POSITIVE, AS_GENERATED])
+def test_off_matches_recorded_digest(order, policy):
+    data = write_off_boundary(generate(order, policy))
+    assert hashlib.sha256(data).hexdigest() == OFF_DIGESTS[order]
 
 
 def test_off_refuses_overshared_faces():

@@ -15,7 +15,7 @@ from _meshes import (
     with_repeated_node,
     without_chunks,
 )
-from _oracle import all_pairs_disjoint
+from _oracle import _LOCAL_FACES, all_pairs_disjoint
 from tetsubdiv.connectivity import (
     AS_GENERATED,
     CHUNK,
@@ -24,7 +24,7 @@ from tetsubdiv.connectivity import (
     SubdivisionMesh,
     generate,
 )
-from tetsubdiv.io import read_json, write_json
+from tetsubdiv.io import apply_ordering_permutation, read_json, write_json
 from tetsubdiv.lattice import enumerate_nodes, node_coords, tet_volume6
 from tetsubdiv.validation import (
     _MAX_ATTEMPTS,
@@ -92,6 +92,43 @@ def test_known_interior_face_incidences():
     assert len(incidence[(1, 5, 8)]) == 2
     assert classify_boundary_face((1, 5, 7), mesh) == INTERIOR
     assert classify_boundary_face((1, 5, 8), mesh) == INTERIOR
+
+
+def _reference_incidence(mesh):
+    """The face table as built before it stored opposite nodes: (tet, local face) pairs."""
+    incidence = {}
+    for t, tet in enumerate(mesh.tets):
+        for f, (a, b, c) in enumerate(_LOCAL_FACES):
+            key = tuple(sorted((tet.nodes[a], tet.nodes[b], tet.nodes[c])))
+            incidence.setdefault(key, []).append((t, f))
+    return incidence
+
+
+def _face_table_meshes():
+    meshes = [
+        pytest.param(generate(n, policy), id=f"{n}-{policy}")
+        for n in range(1, 7)
+        for policy in (POSITIVE, AS_GENERATED)
+    ]
+    mesh = generate(4)
+    table = list(range(len(mesh.nodes)))
+    random.Random(4).shuffle(table)
+    return meshes + [
+        pytest.param(apply_ordering_permutation(mesh, table), id="permuted"),
+        pytest.param(with_repeated_node(mesh, 5), id="repeated-node"),
+        pytest.param(with_doubled(mesh, mesh.tets[9]), id="doubled-tet"),
+        pytest.param(with_moved_node(mesh, 12, 0, 1), id="moved-node"),
+        pytest.param(without_chunks(3), id="without-chunks"),
+    ]
+
+
+@pytest.mark.parametrize("mesh", _face_table_meshes())
+def test_face_table_matches_the_local_face_reference(mesh):
+    incidence = build_face_incidence(mesh)
+    reference = _reference_incidence(mesh)
+    assert incidence.keys() == reference.keys()
+    for key, sharing in reference.items():
+        assert incidence[key] == [mesh.tets[t].nodes[f] for t, f in sharing], key
 
 
 def test_boundary_face_count_and_planes():
