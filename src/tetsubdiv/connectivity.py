@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Coords, NodeIndex, enumerate_nodes, node_coords, tet_volume6
+from .lattice import Coords, NodeIndex, enumerate_nodes, node_coords, node_id, tet_volume6
 
 UPRIGHT = "upright"
 FILL = "fill"
@@ -99,10 +99,7 @@ def _tets(level: int, kinds: tuple[str, ...], policy: str = AS_GENERATED) -> lis
         raise ValueError(f"level must be >= 1, got {level}")
     i = level
     # node (i - 1 + di, j, k) has id base[di][k] + j
-    base = [
-        [lv * (lv + 1) * (lv + 2) // 6 + k * (lv + 1) - k * (k - 1) // 2 for k in range(i + 1)]
-        for lv in (i - 1, i)
-    ]
+    base = [[node_id(lv, 0, k) for k in range(lv + 1)] for lv in (i - 1, i)]
     out: list[SubTet] = []
     append = out.append
     for kind in kinds:

@@ -61,7 +61,7 @@ class PhysicalEmbedding:
 
     Corners correspond, in order, to the element corners returned by
     :func:`tetsubdiv.lattice.corner_nodes`: the apex, then the base
-    corners.  The corners must be affinely independent.
+    corners.  The corners must be finite and affinely independent.
     """
 
     corners: tuple[
@@ -72,6 +72,10 @@ class PhysicalEmbedding:
     ]
 
     def __post_init__(self) -> None:
+        for pos, corner in enumerate(self.corners):
+            for axis, c in zip("xyz", corner):
+                if isinstance(c, float) and not math.isfinite(c):
+                    raise ValueError(f"embedding corner {pos} {axis} must be finite, got {c!r}")
         if tet_volume6(*self.corners) == 0:
             raise ValueError("degenerate embedding: the 4 corners are coplanar")
         # decided once per embedding; see node_position
@@ -148,8 +152,9 @@ def write_vtk_legacy(
     Points are ``mesh.coords``, or their affine image under ``embedding``
     when it is given; cells are the N^3 sub-tets as VTK cell type 10; each
     field becomes a SCALARS block named after the field, with whitespace
-    runs joined by ``_``.  A name that is blank, or not ASCII once joined,
-    raises a ``ValueError`` naming the field as ``fields[pos]``.
+    runs joined by ``_``.  A name that is blank or not printable ASCII once
+    joined, or that joins to the name of an earlier field, raises a
+    ``ValueError`` naming the field as ``fields[pos]``.
     Returns the bytes and, if ``destination`` is a path or writable
     object, also writes them.
     """
@@ -157,10 +162,16 @@ def write_vtk_legacy(
     _check_fields(mesh, fields)
     names = ["_".join(f.name.split()) for f in fields]
     for pos, (f, name) in enumerate(zip(fields, names)):
-        if not name or not name.isascii():
+        if not name or not (name.isascii() and name.isprintable()):
             raise ValueError(
                 f"fields[{pos}] ({f.name!r}) cannot name a VTK SCALARS block: "
-                "it needs a non-blank ASCII name"
+                "it needs a non-blank printable ASCII name"
+            )
+        # a reader looks point arrays up by name
+        first = names.index(name)
+        if first < pos:
+            raise ValueError(
+                f"fields[{pos}] ({f.name!r}) has the same VTK name as fields[{first}]"
             )
     if embedding is None:
         points: Sequence[tuple[float, float, float]] = mesh.coords

@@ -33,7 +33,7 @@ class NodeIndex(NamedTuple):
     k: int
 
 
-def _check_node(node: NodeIndex, order: int | None = None) -> None:
+def _check_node(node: tuple[int, int, int], order: int | None = None) -> None:
     i, j, k = node
     if not (0 <= k <= i and 0 <= j <= i - k):
         raise ValueError(f"invalid lattice node (i={i}, j={j}, k={k})")
@@ -66,7 +66,7 @@ def node_id(i: int, j: int, k: int) -> int:
     Levels are laid out consecutively, each level row-major in k then j:
     id = i(i+1)(i+2)/6 + k(i+1) - k(k-1)/2 + j.
     """
-    _check_node(NodeIndex(i, j, k))
+    _check_node((i, j, k))
     return i * (i + 1) * (i + 2) // 6 + k * (i + 1) - k * (k - 1) // 2 + j
 
 

@@ -99,6 +99,15 @@ def test_gen_rejects_coplanar_embedding():
     assert run(["gen", "--order", "1", "--out", "-", "--embedding"] + flat) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_rejects_non_finite_embedding(tmp_path, capsys, value):
+    corners = [value, "0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1"]
+    out = tmp_path / "o.vtk"
+    assert run(["gen", "--order", "1", "--out", str(out), "--embedding"] + corners) == EXIT_USAGE
+    assert "embedding corner 0 x must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_io_error(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "m.vtk"
     assert run(["gen", "--order", "2", "--out", str(missing_dir)]) == EXIT_IO
@@ -238,6 +247,18 @@ def test_gen_vtk_names_a_field_whose_name_is_not_ascii(tmp_path, capsys):
     assert not out.exists()
     argv = ["gen", "--order", "1", "--format", "json", "--field", str(fpath), "--out", "-"]
     assert run(argv) == EXIT_OK
+
+
+def test_gen_vtk_refuses_two_fields_of_one_name(tmp_path, capsys):
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths += ["--field", str(tmp_path / folder / "u.txt")]
+        (tmp_path / folder / "u.txt").write_text("0 1 2 3")
+    out = tmp_path / "o.vtk"
+    assert run(["gen", "--order", "1", "--out", str(out)] + paths) == EXIT_USAGE
+    assert "fields[1] ('u') has the same VTK name as fields[0]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resample_writes_vtk_with_point_data(tmp_path):

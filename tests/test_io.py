@@ -50,6 +50,15 @@ def test_embedding_rejects_coplanar_corners():
         PhysicalEmbedding(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_embedding_rejects_non_finite_corners(value):
+    # NaN and infinite volumes are never == 0, so the coplanarity test lets them through
+    corners = [list(corner) for corner in UNIT_CORNERS]
+    corners[2][1] = value
+    with pytest.raises(ValueError, match=r"embedding corner 2 y must be finite"):
+        PhysicalEmbedding(tuple(tuple(corner) for corner in corners))
+
+
 def test_embedding_maps_corners_and_midpoints():
     # lattice points of nodes (0, 0, 0), (2, 2, 0), (1, 0, 0) and (2, 1, 1)
     scaled = PhysicalEmbedding(((0, 0, 2), (0, 0, 0), (2, 0, 0), (0, 2, 0)))
@@ -146,7 +155,7 @@ def test_vtk_fields_and_name_sanitization():
     assert text.splitlines()[-4:] == ["0.0", "1.5", "2.0", "3.25"]
 
 
-@pytest.mark.parametrize("name", ["données", " ", "\t\n"])
+@pytest.mark.parametrize("name", ["données", " ", "\t\n", "a\x00b", "a\x7fb"])
 def test_vtk_refuses_a_field_name_it_cannot_write(name):
     mesh = generate(1)
     good = FieldData("u", (0.0, 1.0, 2.0, 3.0))
@@ -155,6 +164,18 @@ def test_vtk_refuses_a_field_name_it_cannot_write(name):
         write_vtk_legacy(mesh, fields=[good, bad])
     # JSON escapes any name
     assert read_json(io.BytesIO(write_json(mesh, fields=[good, bad])))[1][1] == bad
+
+
+@pytest.mark.parametrize("first, second", [("u", "u"), ("a b", "a_b")])
+def test_vtk_refuses_two_fields_of_one_name(first, second):
+    mesh = generate(1)
+    values = (0.0, 1.0, 2.0, 3.0)
+    fields = [FieldData("v", values), FieldData(first, values), FieldData(second, values)]
+    message = f"fields[2] ({second!r}) has the same VTK name as fields[1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_vtk_legacy(mesh, fields=fields)
+    # JSON keeps both
+    assert read_json(io.BytesIO(write_json(mesh, fields=fields)))[1] == fields
 
 
 def test_vtk_embedding_replaces_points():
