@@ -27,6 +27,7 @@ from .connectivity import (
     generate,
 )
 from .io import (
+    _INTEGER,
     PhysicalEmbedding,
     apply_ordering_permutation,
     load_permutation,
@@ -45,11 +46,20 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 
+def _plain_int(text: str) -> int:
+    """``text`` as an int if it is a plain decimal integer, as in field and
+    permutation files; ``int()`` alone also takes '1_0', ' 2' and non-ASCII digits."""
+    pattern, convert, description = _INTEGER
+    if pattern.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"must be {description}, got {text!r:.40}")
+    return convert(text)
+
+
 def _add_order_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--order",
         "-n",
-        type=int,
+        type=_plain_int,
         required=True,
         help="polynomial order N of the element (N >= 1)",
     )
@@ -116,16 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="run the exact validation suite")
     group = val.add_mutually_exclusive_group(required=True)
-    group.add_argument("--order", "-n", type=int, help="generate and validate order N")
+    group.add_argument("--order", "-n", type=_plain_int, help="generate and validate order N")
     group.add_argument("--in", dest="infile", metavar="PATH", help="validate a JSON mesh")
     _add_policy_argument(val)
     val.add_argument(
         "--samples",
-        type=int,
+        type=_plain_int,
         default=10_000,
         help="containment sample count (default: 10000)",
     )
-    val.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
+    val.add_argument("--seed", type=_plain_int, default=0, help="sampling seed (default: 0)")
     val.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     info = sub.add_parser("info", help="print node/tet counts for an order")

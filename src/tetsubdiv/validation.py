@@ -169,7 +169,10 @@ def classify_boundary_face(face: FaceKey, mesh: SubdivisionMesh) -> str:
 
 def check_volumes(mesh: SubdivisionMesh) -> CheckResult:
     """Every |6V| = 1; totals N^3; all +1 under the positive policy."""
-    vols = [signed_volume6(t, mesh.coords) for t in mesh.tets]
+    c = mesh.coords
+    vols = [
+        tet_volume6(c[p], c[q], c[r], c[s]) for p, q, r, s in (t.nodes for t in mesh.tets)
+    ]
     expected = mesh.order**3
     bad = [(t, v) for t, v in enumerate(vols) if abs(v) != 1]
     total_abs = sum(abs(v) for v in vols)
@@ -398,17 +401,30 @@ def _bucket_tets(
     # bounding box touches, so the lookup stays exhaustive even for corrupted
     # meshes that break the one-cell locality of honest output.  Sample points
     # lie in the element, in cells of [0, N)^3, so a box is clipped to those:
-    # at most N^3 cells, however far a corrupted node moves.
+    # at most N^3 cells, however far a corrupted node moves.  An honest tet is
+    # a Kuhn simplex of one unit cube, so its box spans exactly one cell of
+    # [0, N)^3 and is filed there in one step; any other box (flat, repeated
+    # or moved nodes, crossing the element's edge) runs the clipped loops.
+    # Both branches append in tet order, so each cell keeps its candidate order.
     buckets: dict[tuple[int, int, int], list[SidePlanes]] = {}
     coords = mesh.coords
     n = mesh.order
     for tet in mesh.tets:
-        pts = [coords[v] for v in tet.nodes]
+        p, q, r, s = tet.nodes
+        pts = (x0, y0, z0), (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = (
+            coords[p], coords[q], coords[r], coords[s]
+        )
         planes = _side_planes(pts, scale)
-        xs, ys, zs = zip(*pts)
-        lx, ly, lz = min(xs), min(ys), min(zs)
+        lx, ly, lz = min(x0, x1, x2, x3), min(y0, y1, y2, y3), min(z0, z1, z2, z3)
+        hx, hy, hz = max(x0, x1, x2, x3), max(y0, y1, y2, y3), max(z0, z1, z2, z3)
+        if (
+            hx - lx == 1 and hy - ly == 1 and hz - lz == 1
+            and 0 <= lx < n and 0 <= ly < n and 0 <= lz < n
+        ):
+            buckets.setdefault((lx, ly, lz), []).append(planes)
+            continue
         # a box flat on an axis still covers the cell at its low side
-        hx, hy, hz = max(max(xs), lx + 1), max(max(ys), ly + 1), max(max(zs), lz + 1)
+        hx, hy, hz = max(hx, lx + 1), max(hy, ly + 1), max(hz, lz + 1)
         for cx in range(lx if lx > 0 else 0, hx if hx < n else n):
             for cy in range(ly if ly > 0 else 0, hy if hy < n else n):
                 for cz in range(lz if lz > 0 else 0, hz if hz < n else n):
@@ -517,11 +533,8 @@ def check_containment_sampling(
         if attempts > _MAX_ATTEMPTS:
             capped_at = sample
             break
-        label = f"({u}/{d}, {v}/{d}, {w}/{d})"
-        if hits == 0:
-            gaps.append(label)
-        elif hits > 1:
-            overlaps.append(label)
+        if hits != 1:
+            (overlaps if hits else gaps).append(f"({u}/{d}, {v}/{d}, {w}/{d})")
     summary = f"{samples} points (seed {seed}): {len(gaps)} gaps, {len(overlaps)} overlaps"
     details: dict[str, Any] = {
         "samples": samples,

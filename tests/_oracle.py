@@ -1,14 +1,18 @@
-"""Reference overlap test: the exhaustive exact all-pairs separating-axis check.
+"""Reference implementations that tests compare the package against.
 
-``validate`` proves "no overlaps" with a local face certificate (see
-``tetsubdiv.validation``).  This is the independent O(N^6) test it
+``all_pairs_disjoint`` is the exhaustive exact all-pairs separating-axis
+check.  ``validate`` proves "no overlaps" with a local face certificate
+(see ``tetsubdiv.validation``); this is the independent O(N^6) test it
 replaced, kept as an oracle for small orders.
+
+``bucket_tets_box_loop`` is the sampler's cell table built with the
+clipped bounding-box loops alone, with no one-cell fast path.
 """
 
 from itertools import combinations
 
 from tetsubdiv.lattice import Coords, tet_volume6
-from tetsubdiv.validation import CheckResult
+from tetsubdiv.validation import CheckResult, _side_planes
 
 # local face f omits local vertex f
 _LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -76,3 +80,25 @@ def all_pairs_disjoint(mesh) -> CheckResult:
             "intersecting_pairs": intersecting[:16],
         },
     )
+
+
+def bucket_tets_box_loop(mesh, scale):
+    """Side planes of each tet in every cell of [0, N)^3 its bounding box touches.
+
+    A box flat on an axis covers the cell at its low side.  Cells list
+    their tets in tet order.
+    """
+    buckets = {}
+    coords = mesh.coords
+    n = mesh.order
+    for tet in mesh.tets:
+        pts = [coords[v] for v in tet.nodes]
+        planes = _side_planes(pts, scale)
+        xs, ys, zs = zip(*pts)
+        lx, ly, lz = min(xs), min(ys), min(zs)
+        hx, hy, hz = max(max(xs), lx + 1), max(max(ys), ly + 1), max(max(zs), lz + 1)
+        for cx in range(lx if lx > 0 else 0, hx if hx < n else n):
+            for cy in range(ly if ly > 0 else 0, hy if hy < n else n):
+                for cz in range(lz if lz > 0 else 0, hz if hz < n else n):
+                    buckets.setdefault((cx, cy, cz), []).append(planes)
+    return buckets

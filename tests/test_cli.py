@@ -305,6 +305,23 @@ def test_bad_order_is_usage_error():
     assert run(["gen", "--order", "0", "--out", "-"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["info", "--order", "1_0"], "1_0"),
+        (["validate", "--order", " 2"], " 2"),
+        (["validate", "--order", "2", "--samples", "1_00"], "1_00"),
+        (["validate", "--order", "2", "--seed", "\u0663"], "\u0663"),
+        (["gen", "-n", "\u0663", "--out", "-"], "\u0663"),
+        (["resample", "--order", "1_0", "--field", "f.txt", "--out", "-"], "1_0"),
+    ],
+)
+def test_integer_flags_take_plain_decimals_only(argv, token, capsys):
+    # int() alone takes '1_0', ' 2' and the Arabic-Indic digit three
+    assert run(argv) == EXIT_USAGE
+    assert f"must be a plain decimal integer, got {token!r}" in capsys.readouterr().err
+
+
 def test_unknown_arguments_are_usage_errors(capsys):
     assert run(["gen", "--order", "2"]) == EXIT_USAGE
     assert run(["frobnicate"]) == EXIT_USAGE

@@ -15,7 +15,7 @@ from _meshes import (
     with_repeated_node,
     without_chunks,
 )
-from _oracle import _LOCAL_FACES, all_pairs_disjoint
+from _oracle import _LOCAL_FACES, all_pairs_disjoint, bucket_tets_box_loop
 from tetsubdiv.connectivity import (
     AS_GENERATED,
     CHUNK,
@@ -291,6 +291,37 @@ def test_buckets_stay_in_the_element_for_a_far_node(far):
     assert len(_bucket_tets(mesh, _SAMPLE_DENOMINATOR)) <= mesh.order**3
     report = validate(mesh, samples=200)
     assert not report.passed
+
+
+def _bucket_meshes():
+    """The face-table meshes, plus boxes that the one-cell fast path must pass on."""
+    mesh = generate(4)
+    order2 = generate(2)
+    # nodes (0, 0, 0), (1, 0, 0), (0, 1, 0) and (1, 1, 0): a box flat in z
+    base = [order2.coords.index(p) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    flat = dataclasses.replace(order2.tets[0], nodes=tuple(base))
+    order3 = generate(3)
+    shifted = tuple((x - 1, y - 1, z - 1) for x, y, z in order3.coords)
+    return _face_table_meshes() + [
+        *(
+            pytest.param(with_moved_node(mesh, 15, axis, 1), id=f"moved-node-{axis}")
+            for axis in range(3)
+        ),
+        pytest.param(with_moved_node(order2, 9, 0, 300), id="far-node"),
+        pytest.param(replace_tets(order2, order2.tets + (flat,)), id="flat-box"),
+        # one-cell boxes outside [0, N)^3: below it, and above it under a smaller order
+        pytest.param(dataclasses.replace(order3, coords=shifted), id="shifted-by-minus-one"),
+        pytest.param(dataclasses.replace(order3, order=2), id="order-3-relabelled-2"),
+        pytest.param(dataclasses.replace(generate(1), order=5000), id="order-5000-one-tet"),
+    ]
+
+
+@pytest.mark.parametrize("mesh", _bucket_meshes())
+def test_buckets_match_the_box_loop_reference(mesh):
+    # equal dicts: the same cells, each listing the same planes in the same order
+    assert _bucket_tets(mesh, _SAMPLE_DENOMINATOR) == bucket_tets_box_loop(
+        mesh, _SAMPLE_DENOMINATOR
+    )
 
 
 def test_draw_cap_fails_the_check_instead_of_raising():
