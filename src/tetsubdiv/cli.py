@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 usage or invalid input, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from typing import Any, Callable
 
 from . import __version__
 from .connectivity import (
@@ -27,8 +29,10 @@ from .connectivity import (
     generate,
 )
 from .io import (
+    _DECIMAL,
     _INTEGER,
     PhysicalEmbedding,
+    _check_permutation,
     apply_ordering_permutation,
     load_permutation,
     read_field,
@@ -46,13 +50,27 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 
-def _plain_int(text: str) -> int:
-    """``text`` as an int if it is a plain decimal integer, as in field and
-    permutation files; ``int()`` alone also takes '1_0', ' 2' and non-ASCII digits."""
-    pattern, convert, description = _INTEGER
-    if pattern.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(f"must be {description}, got {text!r:.40}")
-    return convert(text)
+def _plain(token_type: tuple) -> Callable[[str], Any]:
+    """An argparse type taking only the plain tokens that field and permutation
+    files take; ``int()`` and ``float()`` alone also take '1_0', ' 2' and
+    non-ASCII digits, and ``float()`` takes 'nan' and 'inf'."""
+    pattern, convert, description = token_type
+
+    def parse(text: str) -> Any:
+        if pattern.fullmatch(text) is None:
+            raise argparse.ArgumentTypeError(f"must be {description}, got {text!r:.40}")
+        return convert(text)
+
+    return parse
+
+
+_plain_int = _plain(_INTEGER)
+_plain_float = _plain(_DECIMAL)
+
+# A '-'-led token that the decimal rule matches, such as -1e-3, is a value.
+# argparse's own pattern takes only forms like -1 and -.5, and reads any
+# other '-'-led token as an option.
+_NEGATIVE_DECIMAL = re.compile(rf"(?=-)(?:{_DECIMAL[0].pattern})\Z")
 
 
 def _add_order_argument(parser: argparse.ArgumentParser) -> None:
@@ -76,6 +94,7 @@ def _add_policy_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_export_arguments(parser: argparse.ArgumentParser) -> argparse.Action:
     """The options ``gen`` and ``resample`` share; returns the ``--field`` action."""
+    parser._negative_number_matcher = _NEGATIVE_DECIMAL
     _add_order_argument(parser)
     _add_policy_argument(parser)
     parser.add_argument("--out", "-o", required=True, help="output path ('-' for stdout)")
@@ -90,10 +109,10 @@ def _add_export_arguments(parser: argparse.ArgumentParser) -> argparse.Action:
     parser.add_argument(
         "--embedding",
         nargs=12,
-        type=float,
+        type=_plain_float,
         metavar="F",
-        help="physical corner positions, 12 floats: apex xyz then the three "
-        "base corners xyz",
+        help="physical corner positions, 12 plain decimals: apex xyz then the "
+        "three base corners xyz",
     )
     parser.add_argument(
         "--permutation",
@@ -160,24 +179,35 @@ def _parse_embedding(values: list[float] | None) -> PhysicalEmbedding | None:
     return PhysicalEmbedding(corners)
 
 
+def _check_order(n: int) -> None:
+    """Refuse an order below 1 with ``generate``'s message, without building a mesh."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}: nothing to subdivide")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    mesh = generate(args.order, args.orientation)
+    # every refusal that needs no mesh comes before the mesh is built
+    _check_order(args.order)
     fields = [read_field(p, args.order) for p in args.field]
     embedding = _parse_embedding(args.embedding)
+    table = None
     if args.permutation is not None:
         table = load_permutation(args.permutation)
+        _check_permutation(table, node_count(args.order))
+    if args.format == "json" and embedding is not None:
+        raise ValueError("--embedding applies only to --format vtk")
+    if args.format == "off" and (fields or embedding is not None):
+        raise ValueError("--format off accepts neither fields nor an embedding")
+    mesh = generate(args.order, args.orientation)
+    if table is not None:
         mesh = apply_ordering_permutation(mesh, table)
         fields = [apply_ordering_permutation(f, table) for f in fields]
     out = sys.stdout.buffer if args.out == "-" else args.out
     if args.format == "vtk":
         write_vtk_legacy(mesh, out, fields=fields, embedding=embedding)
     elif args.format == "json":
-        if embedding is not None:
-            raise ValueError("--embedding applies only to --format vtk")
         write_json(mesh, out, fields=fields)
     else:
-        if fields or embedding is not None:
-            raise ValueError("--format off accepts neither fields nor an embedding")
         write_off_boundary(mesh, out)
     if args.out == "-":
         sys.stdout.buffer.flush()
@@ -196,8 +226,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     n = args.order
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}: nothing to subdivide")
+    _check_order(n)
     levels, kinds = expected_counts(n)
     print(f"order:            {n}")
     print(f"nodes:            {node_count(n)}")

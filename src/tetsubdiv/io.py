@@ -32,7 +32,7 @@ from typing import IO, Any, Sequence, Union
 
 from .connectivity import KINDS, ORIENTATION_POLICIES, SubTet, SubdivisionMesh
 from .lattice import Coords, NodeIndex, node_count, tet_volume6
-from .validation import boundary_faces, build_face_incidence
+from .validation import build_face_incidence
 
 JSON_FORMAT_VERSION = 1
 
@@ -421,18 +421,18 @@ def write_off_boundary(mesh: SubdivisionMesh, destination: Destination = None) -
     incidence is not watertight.
     """
     incidence = build_face_incidence(mesh)
-    if any(len(v) not in (1, 2) for v in incidence.values()):
+    if incidence.overshared:
         raise ValueError(
             "mesh is not watertight (a face is shared by more than two tets); "
             "run validation for details"
         )
-    faces = boundary_faces(incidence)
+    faces = incidence.boundary
     used = sorted({v for f in faces for v in f})
     dense = {v: idx for idx, v in enumerate(used)}
     lines = ["OFF", f"{len(used)} {len(faces)} {3 * len(faces) // 2}"]
     lines += ["{} {} {}".format(*mesh.coords[v]) for v in used]
     for face in faces:
-        opposite = mesh.coords[incidence[face][0]]
+        opposite = mesh.coords[incidence.opposite[face][0]]
         a, b, c = face
         # outward normal: the owning tet's 4th vertex lies on the negative side
         if tet_volume6(mesh.coords[a], mesh.coords[b], mesh.coords[c], opposite) > 0:

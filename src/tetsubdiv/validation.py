@@ -62,8 +62,6 @@ from .lattice import (
 )
 
 FaceKey = tuple[int, int, int]
-# each face key maps to the node opposite it in each tet sharing it, in tet order
-FaceIncidence = dict[FaceKey, list[int]]
 
 BOUNDARY_PLANES = ("x=0", "y=0", "z=0", "x+y+z=N")
 INTERIOR = "interior"
@@ -82,6 +80,16 @@ class CheckResult:
     passed: bool
     summary: str
     details: dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class FaceIncidence:
+    """The face table: canonical (sorted) face keys, filed by how many tets share them."""
+
+    opposite: dict[FaceKey, list[int]]  # the node opposite the face in each tet, in tet order
+    boundary: list[FaceKey]  # faces of one tet, in key order
+    pairs: list[FaceKey]  # faces of two tets
+    overshared: list[FaceKey]  # faces of three or more tets, in key order
 
 
 @dataclass(frozen=True)
@@ -133,19 +141,17 @@ def signed_volume6(tet: SubTet | Sequence[int], coords: Sequence[Coords]) -> int
 
 
 def build_face_incidence(mesh: SubdivisionMesh) -> FaceIncidence:
-    """Map each canonical (sorted) face key to the node opposite it in each sharing tet."""
-    incidence: FaceIncidence = {}
+    """The face table of ``mesh``: see :class:`FaceIncidence`."""
+    table: dict[FaceKey, list[int]] = {}
     for tet in mesh.tets:
         a, b, c, d = sorted(tet.nodes)
         # omitting one node of a sorted tuple leaves the other three sorted
         for key, opposite in (((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)):
-            incidence.setdefault(key, []).append(opposite)
-    return incidence
-
-
-def boundary_faces(incidence: FaceIncidence) -> list[FaceKey]:
-    """Faces with incidence exactly 1, in sorted key order."""
-    return sorted(k for k, v in incidence.items() if len(v) == 1)
+            table.setdefault(key, []).append(opposite)
+    boundary, pairs, overshared = [], [], []
+    for key, ids in table.items():
+        (pairs if len(ids) == 2 else boundary if len(ids) == 1 else overshared).append(key)
+    return FaceIncidence(table, sorted(boundary), pairs, sorted(overshared))
 
 
 def classify_boundary_face(face: FaceKey, mesh: SubdivisionMesh) -> str:
@@ -203,22 +209,21 @@ def check_face_pairing(
 ) -> CheckResult:
     """Face incidence is 1 or 2; exactly 4N^2 boundary faces, all on element planes."""
     incidence = incidence if incidence is not None else build_face_incidence(mesh)
-    overshared = sorted((k, len(v)) for k, v in incidence.items() if len(v) > 2)
-    boundary = boundary_faces(incidence)
+    boundary, overshared = incidence.boundary, incidence.overshared
     stray = [f for f in boundary if classify_boundary_face(f, mesh) == INTERIOR]
     expected = 4 * mesh.order**2
     passed = not overshared and not stray and len(boundary) == expected
     return CheckResult(
         "face-pairing",
         passed,
-        f"{len(incidence)} faces, {len(boundary)} boundary (expected {expected}), "
+        f"{len(incidence.opposite)} faces, {len(boundary)} boundary (expected {expected}), "
         f"{len(overshared)} overshared, {len(stray)} unpaired interior",
         {
-            "faces": len(incidence),
+            "faces": len(incidence.opposite),
             "boundary_faces": len(boundary),
             "expected_boundary_faces": expected,
-            "overshared_faces": overshared[:16],
-            "unpaired_interior_faces": sorted(stray),
+            "overshared_faces": [(k, len(incidence.opposite[k])) for k in overshared[:16]],
+            "unpaired_interior_faces": stray,
         },
     )
 
@@ -258,7 +263,7 @@ def check_boundary_congruence(
     }
     plane_vertices: dict[str, set[tuple[int, int]]] = {p: set() for p in BOUNDARY_PLANES}
     violations: list[dict[str, Any]] = []
-    for face in boundary_faces(incidence):
+    for face in incidence.boundary:
         plane = classify_boundary_face(face, mesh)
         if plane == INTERIOR:
             violations.append({"face": face, "problem": "boundary face on no element plane"})
@@ -344,7 +349,7 @@ def check_euler_characteristic(
 ) -> CheckResult:
     """The boundary complex is a closed surface: V - E + F = 2."""
     incidence = incidence if incidence is not None else build_face_incidence(mesh)
-    faces = boundary_faces(incidence)
+    faces = incidence.boundary
     vertices: set[int] = set()
     edges: set[tuple[int, int]] = set()
     for f in faces:
@@ -406,6 +411,8 @@ def _bucket_tets(
     # [0, N)^3 and is filed there in one step; any other box (flat, repeated
     # or moved nodes, crossing the element's edge) runs the clipped loops.
     # Both branches append in tet order, so each cell keeps its candidate order.
+    # The one-cell branch only saves time: the loops file such a box in the
+    # same cell, so a mutant of its guard or bounds changes no result.
     buckets: dict[tuple[int, int, int], list[SidePlanes]] = {}
     coords = mesh.coords
     n = mesh.order
@@ -572,35 +579,30 @@ def check_pairwise_disjoint(
     """
     incidence = incidence if incidence is not None else build_face_incidence(mesh)
     coords = mesh.coords
-    pairs = 0
-    folded: list[FaceKey] = []
-    for face, opposite in incidence.items():
-        if len(opposite) == 1:
-            continue
-        if len(opposite) == 2:
-            pairs += 1
-            p, q = opposite
-            a, b, c = face
-            ax, ay, az = coords[a]
-            bx, by, bz = coords[b]
-            cx, cy, cz = coords[c]
-            ex, ey, ez = bx - ax, by - ay, bz - az
-            fx, fy, fz = cx - ax, cy - ay, cz - az
-            nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
-            px, py, pz = coords[p]
-            qx, qy, qz = coords[q]
-            side_p = nx * (px - ax) + ny * (py - ay) + nz * (pz - az)
-            side_q = nx * (qx - ax) + ny * (qy - ay) + nz * (qz - az)
-            if side_p * side_q < 0:
-                continue
-        folded.append(face)  # same side, on the plane, or shared by 3+ tets
+    opposite = incidence.opposite
+    folded = list(incidence.overshared)
+    for face in incidence.pairs:
+        p, q = opposite[face]
+        a, b, c = face
+        ax, ay, az = coords[a]
+        bx, by, bz = coords[b]
+        cx, cy, cz = coords[c]
+        ex, ey, ez = bx - ax, by - ay, bz - az
+        fx, fy, fz = cx - ax, cy - ay, cz - az
+        nx, ny, nz = ey * fz - ez * fy, ez * fx - ex * fz, ex * fy - ey * fx
+        px, py, pz = coords[p]
+        qx, qy, qz = coords[q]
+        side_p = nx * (px - ax) + ny * (py - ay) + nz * (pz - az)
+        side_q = nx * (qx - ax) + ny * (qy - ay) + nz * (qz - az)
+        if side_p * side_q >= 0:
+            folded.append(face)  # same side, or on the plane
     folded.sort()
     return CheckResult(
         "pairwise-disjoint",
         not folded,
-        f"{pairs} face-adjacent tet pairs tested, {len(folded)} folded faces",
+        f"{len(incidence.pairs)} face-adjacent tet pairs tested, {len(folded)} folded faces",
         {
-            "pairs": pairs,
+            "pairs": len(incidence.pairs),
             "folded": len(folded),
             "folded_faces": folded[:16],
         },

@@ -99,13 +99,75 @@ def test_gen_rejects_coplanar_embedding():
     assert run(["gen", "--order", "1", "--out", "-", "--embedding"] + flat) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_gen_rejects_non_finite_embedding(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        # words are not plain decimals; 1e999 is one, but overflows to inf
+        pytest.param("nan", "must be a plain decimal number, got 'nan'", id="nan"),
+        pytest.param("inf", "must be a plain decimal number, got 'inf'", id="inf"),
+        pytest.param("1e999", "embedding corner 0 x must be finite", id="1e999"),
+    ],
+)
+def test_gen_rejects_non_finite_embedding(tmp_path, capsys, value, message):
     corners = [value, "0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1"]
     out = tmp_path / "o.vtk"
     assert run(["gen", "--order", "1", "--out", str(out), "--embedding"] + corners) == EXIT_USAGE
-    assert "embedding corner 0 x must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", " 1"])
+def test_embedding_takes_plain_decimals_only(token, capsys):
+    # float() alone takes '1_0', the Arabic-Indic digit one and ' 1'
+    corners = [token, "0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1"]
+    assert run(["gen", "--order", "1", "--out", "-", "--embedding"] + corners) == EXIT_USAGE
+    assert f"must be a plain decimal number, got {token!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "resample"])
+@pytest.mark.parametrize("token, printed", [("-1e-3", "-0.001"), ("-1E+2", "-100.0")])
+def test_embedding_takes_negative_exponent_forms(tmp_path, command, token, printed):
+    # argparse alone reads a '-'-led token it does not take for a number as an option
+    fpath = tmp_path / "f.txt"
+    fpath.write_text("0 1 2 3")
+    out = tmp_path / "o.vtk"
+    corners = [token, "0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1"]
+    argv = [command, "--order", "1", "--field", str(fpath), "--out", str(out), "--embedding"]
+    assert run(argv + corners) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[lines.index("POINTS 4 double") + 1] == f"{printed} 0.0 0.0"
+
+
+def test_gen_refuses_before_building_the_mesh(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused input must not build the mesh")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    short = tmp_path / "short.txt"
+    short.write_text("0 1 2 3")
+    perm = tmp_path / "perm.txt"
+    perm.write_text("0 0 1 2")
+    emb = ["--embedding", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1", "0"]
+    flat = ["--embedding", "0", "0", "0", "1", "0", "0", "0", "1", "0", "1", "1", "0"]
+    cases = [
+        (["gen", "--order", "0", "--format", "json", "--field", str(short)] + emb,
+         "order must be >= 1, got 0: nothing to subdivide"),
+        (["gen", "--order", "64", "--format", "json"] + emb,
+         "--embedding applies only to --format vtk"),
+        (["gen", "--order", "64", "--format", "off"] + emb,
+         "--format off accepts neither fields nor an embedding"),
+        (["gen", "--order", "64", "--field", str(short)],
+         "field has 4 values but order 64 requires 47905"),
+        (["resample", "--order", "64", "--field", str(short)],
+         "field has 4 values but order 64 requires 47905"),
+        (["gen", "--order", "1"] + flat, "degenerate embedding"),
+        (["gen", "--order", "1", "--permutation", str(perm)],
+         "permutation table is not a bijection on 0..3"),
+    ]
+    for argv, message in cases:
+        assert run(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE, argv
+        assert message in capsys.readouterr().err, argv
+    assert not (tmp_path / "o").exists()
 
 
 def test_gen_io_error(tmp_path):

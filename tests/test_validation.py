@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -33,7 +34,6 @@ from tetsubdiv.validation import (
     INTERIOR,
     _bucket_tets,
     _side_planes,
-    boundary_faces,
     build_face_incidence,
     check_boundary_congruence,
     check_containment_sampling,
@@ -87,7 +87,7 @@ def test_classify_boundary_face():
 
 def test_known_interior_face_incidences():
     mesh = generate(2)
-    incidence = build_face_incidence(mesh)
+    incidence = build_face_incidence(mesh).opposite
     assert len(incidence[(1, 5, 7)]) == 2
     assert len(incidence[(1, 5, 8)]) == 2
     assert classify_boundary_face((1, 5, 7), mesh) == INTERIOR
@@ -126,16 +126,20 @@ def _face_table_meshes():
 def test_face_table_matches_the_local_face_reference(mesh):
     incidence = build_face_incidence(mesh)
     reference = _reference_incidence(mesh)
-    assert incidence.keys() == reference.keys()
+    assert incidence.opposite.keys() == reference.keys()
+    by_count = {1: [], 2: [], 3: []}  # each key, filed by how many tets share it
     for key, sharing in reference.items():
-        assert incidence[key] == [mesh.tets[t].nodes[f] for t, f in sharing], key
+        assert incidence.opposite[key] == [mesh.tets[t].nodes[f] for t, f in sharing], key
+        by_count[min(len(sharing), 3)].append(key)
+    assert incidence.boundary == sorted(by_count[1])
+    assert sorted(incidence.pairs) == sorted(by_count[2])
+    assert incidence.overshared == sorted(by_count[3])
 
 
 def test_boundary_face_count_and_planes():
     for n in (1, 2, 3, 5):
         mesh = generate(n)
-        incidence = build_face_incidence(mesh)
-        faces = boundary_faces(incidence)
+        faces = build_face_incidence(mesh).boundary
         assert len(faces) == 4 * n * n
         by_plane = {p: 0 for p in BOUNDARY_PLANES}
         for f in faces:
@@ -236,6 +240,47 @@ def test_euler_characteristic_good_and_cavity():
     cavity = check_euler_characteristic(without_chunks(3))
     assert not cavity.passed
     assert cavity.details["chi"] == 0
+
+
+def _relabelled_positive(n):
+    return dataclasses.replace(generate(n, AS_GENERATED), orientation_policy=POSITIVE)
+
+
+def _doubled_coords(n):
+    mesh = generate(n)
+    doubled = tuple((2 * x, 2 * y, 2 * z) for x, y, z in mesh.coords)
+    return dataclasses.replace(mesh, coords=doubled)
+
+
+def _every_tet_doubled(n):
+    mesh = generate(n)
+    return replace_tets(mesh, mesh.tets + mesh.tets)
+
+
+@pytest.mark.parametrize(
+    "make, check, listed, counted",
+    [
+        (_relabelled_positive, check_volumes, "misoriented_tets", r"(\d+) misoriented"),
+        (_doubled_coords, check_volumes, "off_unit_tets", r"(\d+) off-unit"),
+        (_doubled_coords, check_boundary_congruence, "violations", r"(\d+) violations"),
+        (_every_tet_doubled, check_face_pairing, "overshared_faces", r"(\d+) overshared"),
+        (_every_tet_doubled, check_pairwise_disjoint, "folded_faces", r"(\d+) folded"),
+    ],
+    ids=["misoriented", "off-unit", "congruence", "overshared", "folded"],
+)
+def test_report_lists_stop_at_16_entries(make, check, listed, counted):
+    result = check(make(3))
+    assert int(re.search(counted, result.summary).group(1)) > 16
+    assert len(result.details[listed]) == 16
+
+
+def test_sampling_defaults_are_10000_points_from_seed_0():
+    direct = check_containment_sampling(generate(1)).details
+    (bundled,) = [
+        c.details for c in validate(generate(1)).checks if c.name == "containment-sampling"
+    ]
+    for details in (direct, bundled):
+        assert (details["samples"], details["seed"]) == (10_000, 0)
 
 
 def test_containment_is_deterministic_and_seed_sensitive():
