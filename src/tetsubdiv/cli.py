@@ -25,6 +25,7 @@ from .connectivity import (
     ORIENTATION_POLICIES,
     POSITIVE,
     UPRIGHT,
+    _check_subdivision_order,
     expected_counts,
     generate,
 )
@@ -33,6 +34,7 @@ from .io import (
     _INTEGER,
     PhysicalEmbedding,
     _check_permutation,
+    _vtk_names,
     apply_ordering_permutation,
     load_permutation,
     read_field,
@@ -179,15 +181,9 @@ def _parse_embedding(values: list[float] | None) -> PhysicalEmbedding | None:
     return PhysicalEmbedding(corners)
 
 
-def _check_order(n: int) -> None:
-    """Refuse an order below 1 with ``generate``'s message, without building a mesh."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}: nothing to subdivide")
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     # every refusal that needs no mesh comes before the mesh is built
-    _check_order(args.order)
+    _check_subdivision_order(args.order)
     fields = [read_field(p, args.order) for p in args.field]
     embedding = _parse_embedding(args.embedding)
     table = None
@@ -198,6 +194,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError("--embedding applies only to --format vtk")
     if args.format == "off" and (fields or embedding is not None):
         raise ValueError("--format off accepts neither fields nor an embedding")
+    if args.format == "vtk":
+        _vtk_names(fields)
     mesh = generate(args.order, args.orientation)
     if table is not None:
         mesh = apply_ordering_permutation(mesh, table)
@@ -226,7 +224,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     n = args.order
-    _check_order(n)
+    _check_subdivision_order(n)
     levels, kinds = expected_counts(n)
     print(f"order:            {n}")
     print(f"nodes:            {node_count(n)}")

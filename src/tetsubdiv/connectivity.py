@@ -156,6 +156,12 @@ def expected_counts(order: int) -> tuple[dict[int, int], dict[str, int]]:
     return levels, kinds
 
 
+def _check_subdivision_order(order: int) -> None:
+    """Refuse an order below 1: a degree-0 element has nothing to subdivide."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}: nothing to subdivide")
+
+
 def generate(order: int, orientation_policy: str = POSITIVE) -> SubdivisionMesh:
     """Build the full order-N subdivision mesh.
 
@@ -175,8 +181,7 @@ def generate(order: int, orientation_policy: str = POSITIVE) -> SubdivisionMesh:
     SubdivisionMesh
         Exactly ``order**3`` sub-tets over the canonical node lattice.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}: nothing to subdivide")
+    _check_subdivision_order(order)
     if orientation_policy not in ORIENTATION_POLICIES:
         raise ValueError(
             f"unknown orientation policy {orientation_policy!r}; "

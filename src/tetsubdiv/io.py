@@ -85,9 +85,8 @@ class PhysicalEmbedding:
     def node_position(self, point: Coords, order: int) -> tuple[float, float, float]:
         """Affine image of the lattice point (x, y, z), such as ``mesh.coords[v]``.
 
-        The corners' barycentric weights are (z, N-x-y-z, x, y)/N, the
-        weights :func:`tetsubdiv.lattice.node_barycentric` gives node
-        (i, j, k) at (j, k, N-i).  Each coordinate is ``sum`` over the
+        The corners' weights are :func:`tetsubdiv.lattice.node_barycentric`
+        of the node at that point.  Each coordinate is ``sum`` over the
         corners, in order, of weight times corner coordinate.  The weights
         are float quotients when every corner coordinate is a float, and
         Fractions otherwise, whose products stay exact until the final
@@ -141,6 +140,24 @@ def _read_text(source: Source) -> str:
         return handle.read()
 
 
+def _vtk_names(fields: Sequence[FieldData]) -> list[str]:
+    """The fields' VTK SCALARS names; raises on a name :func:`write_vtk_legacy` refuses."""
+    names = ["_".join(f.name.split()) for f in fields]
+    for pos, (f, name) in enumerate(zip(fields, names)):
+        if not name or not (name.isascii() and name.isprintable()):
+            raise ValueError(
+                f"fields[{pos}] ({f.name!r}) cannot name a VTK SCALARS block: "
+                "it needs a non-blank printable ASCII name"
+            )
+        # a reader looks point arrays up by name
+        first = names.index(name)
+        if first < pos:
+            raise ValueError(
+                f"fields[{pos}] ({f.name!r}) has the same VTK name as fields[{first}]"
+            )
+    return names
+
+
 def write_vtk_legacy(
     mesh: SubdivisionMesh,
     destination: Destination = None,
@@ -160,19 +177,7 @@ def write_vtk_legacy(
     """
     fields = list(fields or ())
     _check_fields(mesh, fields)
-    names = ["_".join(f.name.split()) for f in fields]
-    for pos, (f, name) in enumerate(zip(fields, names)):
-        if not name or not (name.isascii() and name.isprintable()):
-            raise ValueError(
-                f"fields[{pos}] ({f.name!r}) cannot name a VTK SCALARS block: "
-                "it needs a non-blank printable ASCII name"
-            )
-        # a reader looks point arrays up by name
-        first = names.index(name)
-        if first < pos:
-            raise ValueError(
-                f"fields[{pos}] ({f.name!r}) has the same VTK name as fields[{first}]"
-            )
+    names = _vtk_names(fields)
     if embedding is None:
         points: Sequence[tuple[float, float, float]] = mesh.coords
     else:

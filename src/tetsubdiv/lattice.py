@@ -19,6 +19,7 @@ rational) arithmetic.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,29 +72,27 @@ def node_id(i: int, j: int, k: int) -> int:
 
 
 def node_to_linear(node: NodeIndex, order: int) -> int:
-    """Position of ``node`` in ``enumerate_nodes(order)``."""
+    """Deprecated: use ``node_id(*node)``.  Removed in 0.2.0."""
+    warnings.warn(
+        "node_to_linear is deprecated; use node_id(*node)", DeprecationWarning, stacklevel=2
+    )
     _check_node(node, order)
-    i, j, k = node
-    return node_id(i, j, k)
+    return node_id(*node)
 
 
 def linear_to_node(linear_id: int, order: int) -> NodeIndex:
-    """Inverse of :func:`node_to_linear`."""
+    """Deprecated: use ``enumerate_nodes(order)[i]``.  Removed in 0.2.0."""
+    warnings.warn(
+        "linear_to_node is deprecated; use enumerate_nodes(order)[i]",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     if not 0 <= linear_id < node_count(order):
         raise ValueError(
             f"linear id {linear_id} out of range for order {order} "
             f"(node count {node_count(order)})"
         )
-    rem = linear_id
-    i = 0
-    while rem >= (i + 1) * (i + 2) // 2:
-        rem -= (i + 1) * (i + 2) // 2
-        i += 1
-    k = 0
-    while rem >= i - k + 1:
-        rem -= i - k + 1
-        k += 1
-    return NodeIndex(i, rem, k)
+    return enumerate_nodes(order)[linear_id]
 
 
 def node_coords(node: NodeIndex, order: int) -> Coords:

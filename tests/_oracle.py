@@ -7,8 +7,14 @@ replaced, kept as an oracle for small orders.
 
 ``bucket_tets_box_loop`` is the sampler's cell table built with the
 clipped bounding-box loops alone, with no one-cell fast path.
+
+``containment_sampling`` is the containment sampler by brute force: it
+draws the same stream with ``randrange`` and takes every side test as a
+``Fraction`` determinant, with no side planes, buckets or modular tests.
 """
 
+import random
+from fractions import Fraction
 from itertools import combinations
 
 from tetsubdiv.lattice import Coords, tet_volume6
@@ -102,3 +108,80 @@ def bucket_tets_box_loop(mesh, scale):
                 for cz in range(lz if lz > 0 else 0, hz if hz < n else n):
                     buckets.setdefault((cx, cy, cz), []).append(planes)
     return buckets
+
+
+def _side_verdict(pts, p):
+    """Side i is the tet with vertex i replaced by p.  In vertex order, the
+    first zero side redraws the point and the first sign mismatch puts it outside."""
+    first = None
+    for i in range(4):
+        side = tet_volume6(*pts[:i], p, *pts[i + 1 :])
+        if side == 0:
+            return "redraw"
+        if first is None:
+            first = side > 0
+        elif (side > 0) != first:
+            return "outside"
+    return "inside"
+
+
+def containment_sampling(mesh, samples, seed, denominator, max_attempts):
+    """The details of ``check_containment_sampling`` with D = ``denominator``.
+
+    Each triple is three ``randrange(1, N*D)`` draws, discarded when it
+    lies outside the element.  A point that lies on a lattice plane, or on
+    a side of a candidate tet (a tet whose bounding box, widened to one
+    cell on a flat axis, covers the point's unit cell), is redrawn.  More
+    than ``max_attempts`` triples for one point stop the sampling.
+    """
+    d = denominator
+    nd = mesh.order * d
+    rng = random.Random(seed)
+    tets = []
+    for tet in mesh.tets:
+        pts = [mesh.coords[v] for v in tet.nodes]
+        lo = [min(axis) for axis in zip(*pts)]
+        hi = [max(max(axis), low + 1) for axis, low in zip(zip(*pts), lo)]
+        tets.append((pts, lo, hi))
+    gaps, overlaps, redraws, capped_at = [], [], 0, None
+    for sample in range(samples):
+        attempts = 0
+        while True:
+            u, v, w = (rng.randrange(1, nd) for _ in range(3))
+            attempts += 1
+            if u + v + w >= nd:
+                continue
+            if attempts > max_attempts:
+                break
+            p = x, y, z = Fraction(u, d), Fraction(v, d), Fraction(w, d)
+            if any(c.denominator == 1 for c in (x, y, z, x + y, x + z, y + z, x + y + z)):
+                redraws += 1
+                continue
+            cell = (u // d, v // d, w // d)
+            verdicts = [
+                _side_verdict(pts, p)
+                for pts, lo, hi in tets
+                if all(a <= c < b for a, c, b in zip(lo, cell, hi))
+            ]
+            if "redraw" not in verdicts:
+                break
+            redraws += 1
+        if attempts > max_attempts:
+            capped_at = sample
+            break
+        hits = verdicts.count("inside")
+        if hits != 1:
+            (overlaps if hits else gaps).append(f"({u}/{d}, {v}/{d}, {w}/{d})")
+    details = {
+        "samples": samples,
+        "seed": seed,
+        "denominator": d,
+        "gaps": len(gaps),
+        "overlaps": len(overlaps),
+        "redraws": redraws,
+        "gap_points": gaps[:8],
+        "overlap_points": overlaps[:8],
+    }
+    if capped_at is not None:
+        details["draw_cap_reached"] = {"point": capped_at, "triples": max_attempts}
+    return details

@@ -149,6 +149,13 @@ def test_gen_refuses_before_building_the_mesh(monkeypatch, tmp_path, capsys):
     perm.write_text("0 0 1 2")
     emb = ["--embedding", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1", "0"]
     flat = ["--embedding", "0", "0", "0", "1", "0", "0", "0", "1", "0", "1", "1", "0"]
+    # full-length order-64 fields whose names VTK refuses
+    full = []
+    for name in ("a/u.txt", "b/u.txt", "données.txt"):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("0\n" * 47905, encoding="utf-8")
+        full += ["--field", str(path)]
     cases = [
         (["gen", "--order", "0", "--format", "json", "--field", str(short)] + emb,
          "order must be >= 1, got 0: nothing to subdivide"),
@@ -163,6 +170,12 @@ def test_gen_refuses_before_building_the_mesh(monkeypatch, tmp_path, capsys):
         (["gen", "--order", "1"] + flat, "degenerate embedding"),
         (["gen", "--order", "1", "--permutation", str(perm)],
          "permutation table is not a bijection on 0..3"),
+        (["gen", "--order", "64"] + full[:4],
+         "fields[1] ('u') has the same VTK name as fields[0]"),
+        (["gen", "--order", "64"] + full[4:],
+         "fields[0] ('données') cannot name a VTK SCALARS block"),
+        (["resample", "--order", "64"] + full[4:],
+         "fields[0] ('données') cannot name a VTK SCALARS block"),
     ]
     for argv, message in cases:
         assert run(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE, argv

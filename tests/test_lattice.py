@@ -1,5 +1,6 @@
 """Node lattice indexing, coordinates, and exact volume primitives."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,25 +61,46 @@ def test_node_id_matches_enumeration_position():
     nodes = enumerate_nodes(6)
     for pos, node in enumerate(nodes):
         assert node_id(node.i, node.j, node.k) == pos
-        assert node_to_linear(node, 6) == pos
+        with pytest.deprecated_call():
+            assert node_to_linear(node, 6) == pos
 
 
 def test_node_id_is_order_independent():
+    order9 = enumerate_nodes(9)
     for node in enumerate_nodes(4):
-        assert node_to_linear(node, 4) == node_to_linear(node, 9)
+        assert order9.index(node) == node_id(*node)
+        with pytest.deprecated_call():
+            assert node_to_linear(node, 4) == node_to_linear(node, 9)
 
 
 def test_linear_to_node_inverts_node_to_linear():
     for n in (1, 3, 7):
         for pos, node in enumerate(enumerate_nodes(n)):
-            assert linear_to_node(pos, n) == node
+            with pytest.deprecated_call():
+                assert linear_to_node(pos, n) == node
 
 
 def test_linear_to_node_range_errors():
-    with pytest.raises(ValueError):
+    with pytest.deprecated_call(), pytest.raises(ValueError):
         linear_to_node(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.deprecated_call(), pytest.raises(ValueError):
         linear_to_node(node_count(2), 2)
+
+
+@pytest.mark.parametrize(
+    "call, expected, replacement",
+    [
+        (lambda: node_to_linear(NodeIndex(2, 1, 1), 3), 8, "use node_id(*node)"),
+        (lambda: linear_to_node(8, 3), NodeIndex(2, 1, 1), "use enumerate_nodes(order)[i]"),
+    ],
+    ids=["node_to_linear", "linear_to_node"],
+)
+def test_deprecated_names_warn_at_the_caller_and_name_their_replacement(
+    call, expected, replacement
+):
+    with pytest.warns(DeprecationWarning, match=re.escape(replacement)) as record:
+        assert call() == expected
+    assert record[0].filename == __file__
 
 
 def test_invalid_node_indices_rejected():
@@ -88,7 +110,7 @@ def test_invalid_node_indices_rejected():
         node_id(2, 1, 2)
     with pytest.raises(ValueError):
         node_id(1, -1, 0)
-    with pytest.raises(ValueError):
+    with pytest.deprecated_call(), pytest.raises(ValueError):
         node_to_linear(NodeIndex(3, 0, 0), 2)
 
 

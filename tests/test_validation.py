@@ -16,7 +16,12 @@ from _meshes import (
     with_repeated_node,
     without_chunks,
 )
-from _oracle import _LOCAL_FACES, all_pairs_disjoint, bucket_tets_box_loop
+from _oracle import (
+    _LOCAL_FACES,
+    all_pairs_disjoint,
+    bucket_tets_box_loop,
+    containment_sampling,
+)
 from tetsubdiv.connectivity import (
     AS_GENERATED,
     CHUNK,
@@ -72,8 +77,12 @@ def test_report_serialization_shapes():
 
 def test_signed_volume_accepts_tet_or_ids():
     mesh = generate(2)
-    assert signed_volume6(mesh.tets[0], mesh.coords) == 1
-    assert signed_volume6(mesh.tets[0].nodes, mesh.coords) == 1
+    match = "use tet_volume6 on the four points"
+    with pytest.warns(DeprecationWarning, match=match) as record:
+        assert signed_volume6(mesh.tets[0], mesh.coords) == 1
+    assert record[0].filename == __file__
+    with pytest.deprecated_call(match=match):
+        assert signed_volume6(mesh.tets[0].nodes, mesh.coords) == 1
 
 
 def test_classify_boundary_face():
@@ -231,8 +240,10 @@ def test_counts_detects_wrong_totals():
 
 def test_counts_detects_foreign_tags():
     mesh = generate(2)
-    weird = SubTet(mesh.tets[0].nodes, "upright", 99)
-    assert not check_counts(replace_tets(mesh, (weird,) + mesh.tets[1:])).passed
+    nodes = mesh.tets[0].nodes
+    # a foreign level, then a foreign kind
+    for weird in (SubTet(nodes, "upright", 99), SubTet(nodes, "wedge", 1)):
+        assert not check_counts(replace_tets(mesh, (weird,) + mesh.tets[1:])).passed
 
 
 def test_euler_characteristic_good_and_cavity():
@@ -381,6 +392,33 @@ def test_draw_cap_fails_the_check_instead_of_raising():
     assert not result.passed
     assert "draw cap reached" in result.summary
     assert result.details["draw_cap_reached"] == {"point": 0, "triples": _MAX_ATTEMPTS}
+
+
+def _sampler_meshes():
+    """Order-2 meshes on which a small denominator takes the sampler's rare branches."""
+    mesh = generate(2)
+    return [
+        pytest.param(mesh, id="honest"),
+        pytest.param(with_moved_node(mesh, 7, 1, 1), id="moved-node"),
+        pytest.param(with_doubled(mesh, mesh.tets[-1]), id="doubled-tet"),
+        # tet 2 has a face on the low x side of its cell, so a point on that
+        # face is redrawn only by the guard's x = integer test
+        pytest.param(replace_tets(mesh, mesh.tets[:2] + mesh.tets[3:]), id="deleted-tet"),
+    ]
+
+
+@pytest.mark.parametrize("mesh", _sampler_meshes())
+def test_sampler_rare_branches_match_the_fraction_oracle(mesh, monkeypatch):
+    # With D = 7 a point often lies on a lattice plane, on a side plane
+    # through the moved node (a zero on any of the four sides), or where a
+    # side value is exactly 1; small caps stop a run on the draw cap.  With
+    # D = 1,000,003 these branches almost never run.
+    monkeypatch.setattr("tetsubdiv.validation._SAMPLE_DENOMINATOR", 7)
+    for cap in (10_000, 1, 2, 3, 5, 8):
+        monkeypatch.setattr("tetsubdiv.validation._MAX_ATTEMPTS", cap)
+        for seed in range(3):
+            details = check_containment_sampling(mesh, samples=100, seed=seed).details
+            assert details == containment_sampling(mesh, 100, seed, 7, cap)
 
 
 def test_side_planes_match_the_scaled_determinants():
